@@ -26,6 +26,7 @@ Fault sites: ``serve.shed`` forces admission control to reject a request
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -81,7 +82,8 @@ class ChronusServer:
         if shadow_sample_rate is not None:
             config_service.shadow_sample_rate = shadow_sample_rate
         self.batcher = MicroBatcher(
-            self._handle_batch,
+            # bound to the service, not to this server: no server <-> batcher cycle
+            functools.partial(_handle_batch, config_service),
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
@@ -152,13 +154,6 @@ class ChronusServer:
             )
         return self.batcher.submit(request)
 
-    def _handle_batch(self, requests: Sequence[PredictRequest]) -> List[Answer]:
-        """One vectorized evaluation for a coalesced micro-batch."""
-        if faults.fire("serve.slow"):
-            time.sleep(SLOW_FAULT_STALL_S)
-        with telemetry.span("serve.batch", size=len(requests)):
-            return self.config_service.predict_batch(requests)
-
     # ------------------------------------------------------------------
     # wire entry point (both client generations + control ops)
     # ------------------------------------------------------------------
@@ -187,6 +182,16 @@ class ChronusServer:
             telemetry.counter("serve_protocol_errors_total").inc()
             return ErrorResponse(code="INVALID", message=str(exc)).to_json()
         return encode_response(self.predict(request), client_proto)
+
+
+def _handle_batch(
+    config_service: SlurmConfigService, requests: Sequence[PredictRequest]
+) -> List[Answer]:
+    """One vectorized evaluation for a coalesced micro-batch."""
+    if faults.fire("serve.slow"):
+        time.sleep(SLOW_FAULT_STALL_S)
+    with telemetry.span("serve.batch", size=len(requests)):
+        return config_service.predict_batch(requests)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import heapq
 import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -83,17 +84,21 @@ class Event:
     #: daemon threads, ``run()`` with no horizon stops once only daemons
     #: remain, so an HA pair's heartbeat loop cannot wedge run_until_idle
     daemon: bool = field(default=False, compare=False)
-    #: owning queue while the event is still heaped; lets ``cancel`` keep
-    #: the queue's live/cancelled counts exact without a heap scan
-    queue: "Optional[EventQueue]" = field(default=None, compare=False, repr=False)
+    #: weak reference to the owning queue while the event is still heaped;
+    #: lets ``cancel`` keep the queue's live/cancelled counts exact without
+    #: a heap scan, and being weak forms no cycle with the queue's heap
+    queue: "Optional[weakref.ref[EventQueue]]" = field(
+        default=None, compare=False, repr=False
+    )
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self.queue is not None:
-            self.queue._note_cancel(self)
+        queue = self.queue() if self.queue is not None else None
+        if queue is not None:
+            queue._note_cancel(self)
 
 
 #: below this heap size compaction is never worth the rebuild
@@ -117,6 +122,7 @@ class EventQueue:
         self._live_daemon = 0  # non-cancelled daemon events still heaped
         self._cancelled = 0  # cancelled tombstones still heaped
         self.compactions = 0
+        self._ref = weakref.ref(self)  # what each heaped event points back with
 
     def __len__(self) -> int:
         return self._live
@@ -166,7 +172,7 @@ class EventQueue:
             raise SimulationError(f"event time must be finite, got {time!r}")
         ev = Event(
             time=time, seq=next(self._counter), callback=callback, name=name,
-            daemon=daemon, queue=self,
+            daemon=daemon, queue=self._ref,
         )
         heapq.heappush(self._heap, ev)
         self._live += 1
@@ -195,7 +201,7 @@ class EventQueue:
             events.append(
                 Event(
                     time=time, seq=next(self._counter), callback=callback,
-                    name=name, queue=self,
+                    name=name, queue=self._ref,
                 )
             )
         if not events:
@@ -252,14 +258,22 @@ class RepeatingEvent:
     ) -> None:
         if interval <= 0:
             raise SimulationError(f"repeat interval must be positive: {interval}")
-        self._sim = sim
+        # both weak: the simulator's heap holds the pending occurrence,
+        # whose callback holds this object; only a running simulator fires it
+        self._sim = weakref.ref(sim)
         self.interval = float(interval)
         self.callback = callback
         self.name = name
         self.daemon = daemon
         self.fired = 0
-        self._event: Optional[Event] = sim.events.push(
-            sim.now + self.interval, self._fire, name, daemon=daemon
+        self._event: "Optional[weakref.ref[Event]]" = None
+        self._schedule(sim)
+
+    def _schedule(self, sim: "Simulator") -> None:
+        self._event = weakref.ref(
+            sim.events.push(
+                sim.now + self.interval, self._fire, self.name, daemon=self.daemon
+            )
         )
 
     @property
@@ -270,16 +284,16 @@ class RepeatingEvent:
         if self._event is None:
             return
         # reschedule first: the callback may cancel() us or raise
-        self._event = self._sim.events.push(
-            self._sim.now + self.interval, self._fire, self.name, daemon=self.daemon
-        )
+        self._schedule(self._sim())
         self.fired += 1
         self.callback()
 
     def cancel(self) -> None:
         """Stop the cycle; the pending occurrence is tombstoned."""
         if self._event is not None:
-            self._event.cancel()
+            pending = self._event()
+            if pending is not None:
+                pending.cancel()
             self._event = None
 
 

@@ -162,8 +162,14 @@ class AccountingDatabase:
         return [asdict(r) for r in self.all()]
 
     def load_capture(self, rows: list[dict]) -> None:
-        """Replace contents with snapshot rows (bootstrap after compaction)."""
+        """Replace contents with snapshot rows (bootstrap after compaction).
+
+        The applied-event keys go too: they named events whose rows the
+        snapshot just replaced, and a re-bootstrap re-delivers the suffix
+        after it, which must land again.
+        """
         self._records = {}
+        self._applied = set()
         for row in rows:
             row = dict(row)
             row["models"] = tuple(row.get("models", ()))

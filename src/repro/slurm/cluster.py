@@ -81,12 +81,14 @@ class SimCluster:
         self.ipmi = self.ipmis[0]
         self.wattmeter = WattMeter(self.node, self.streams)
         self.performance_model = performance_model or HpcgPerformanceModel()
-        self.hpcg_duration_s = hpcg_duration_s
-
-        self.registry = ApplicationRegistry()
-        self.registry.register(HPCG_BINARY, self._hpcg_factory)
         self.hpl_model = HplPerformanceModel()
-        self.registry.register(HPL_BINARY, self._hpl_factory)
+        self._apps = _Applications(
+            spec, self.performance_model, self.hpl_model, self.streams,
+            hpcg_duration_s,
+        )
+        self.registry = ApplicationRegistry()
+        self.registry.register(HPCG_BINARY, self._apps.hpcg)
+        self.registry.register(HPL_BINARY, self._apps.hpl)
 
         self.config = config or SlurmConfig()
         self.slurmds = [Slurmd(n, self.registry) for n in self.nodes]
@@ -98,33 +100,14 @@ class SimCluster:
         )
         self.commands = SlurmCommands(self.ctld)
 
-    # ------------------------------------------------------------------
-    def _hpcg_factory(self, desc: JobDescriptor, job_id: int) -> HpcgWorkload:
-        freq = desc.cpu_freq_max or desc.cpu_freq_min or self.node.spec.max_freq_khz
-        return HpcgWorkload(
-            cores=desc.num_tasks,
-            threads_per_core=desc.threads_per_core,
-            freq_khz=self.node.spec.nearest_frequency(freq),
-            model=self.performance_model,
-            total_flops=PAPER_TOTAL_FLOPS,
-            duration_s=self.hpcg_duration_s,
-            streams=self.streams,
-            run_tag=f"job{job_id}",
-            max_freq_khz=self.node.spec.max_freq_khz,
-            n_nodes=desc.nodes,
-        )
+    @property
+    def hpcg_duration_s(self) -> Optional[float]:
+        """Run length of every HPCG/HPL job started from now on."""
+        return self._apps.duration_s
 
-    def _hpl_factory(self, desc: JobDescriptor, job_id: int) -> HplWorkload:
-        freq = desc.cpu_freq_max or desc.cpu_freq_min or self.node.spec.max_freq_khz
-        return HplWorkload(
-            cores=desc.num_tasks,
-            threads_per_core=desc.threads_per_core,
-            freq_khz=self.node.spec.nearest_frequency(freq),
-            model=self.hpl_model,
-            duration_s=self.hpcg_duration_s,
-            streams=self.streams,
-            run_tag=f"job{job_id}",
-        )
+    @hpcg_duration_s.setter
+    def hpcg_duration_s(self, value: Optional[float]) -> None:
+        self._apps.duration_s = value
 
     # ------------------------------------------------------------------
     @property
@@ -140,3 +123,48 @@ class SimCluster:
 
         job_id = parse_sbatch_output(self.commands.sbatch(script))
         return self.ctld.wait_for_job(job_id)
+
+
+class _Applications:
+    """The workload factories the cluster registers for HPCG and HPL.
+
+    They hold what they build from rather than the cluster, so the
+    registry every slurmd shares keeps no reference back to the
+    :class:`SimCluster`, and a controller kept alone still runs jobs.
+    """
+
+    def __init__(self, spec, performance_model, hpl_model, streams, duration_s):
+        self.spec = spec
+        self.performance_model = performance_model
+        self.hpl_model = hpl_model
+        self.streams = streams
+        self.duration_s = duration_s
+
+    def _freq_khz(self, desc: JobDescriptor) -> int:
+        freq = desc.cpu_freq_max or desc.cpu_freq_min or self.spec.max_freq_khz
+        return self.spec.nearest_frequency(freq)
+
+    def hpcg(self, desc: JobDescriptor, job_id: int) -> HpcgWorkload:
+        return HpcgWorkload(
+            cores=desc.num_tasks,
+            threads_per_core=desc.threads_per_core,
+            freq_khz=self._freq_khz(desc),
+            model=self.performance_model,
+            total_flops=PAPER_TOTAL_FLOPS,
+            duration_s=self.duration_s,
+            streams=self.streams,
+            run_tag=f"job{job_id}",
+            max_freq_khz=self.spec.max_freq_khz,
+            n_nodes=desc.nodes,
+        )
+
+    def hpl(self, desc: JobDescriptor, job_id: int) -> HplWorkload:
+        return HplWorkload(
+            cores=desc.num_tasks,
+            threads_per_core=desc.threads_per_core,
+            freq_khz=self._freq_khz(desc),
+            model=self.hpl_model,
+            duration_s=self.duration_s,
+            streams=self.streams,
+            run_tag=f"job{job_id}",
+        )

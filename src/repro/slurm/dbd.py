@@ -14,9 +14,20 @@ underlying :meth:`AccountingDatabase.apply` dedups by
 what makes the pump idempotent (``dbd_duplicates_dropped_total`` counts
 the drops).
 
-When the leader compacts the journal past the daemon's cursor, the
-daemon bootstraps from the latest snapshot (which carries both the
-accounting rows and the job table) and resumes tailing from the
+A pump costs time in proportion to the records appended since the last
+one.  Besides the cursor the daemon keeps an *anchor*: the byte offset
+just past the last record it read, plus that record's raw line.  While
+the journal still holds that line at that offset, a pump reads and
+decodes only the lines after it (:meth:`StateSave.read_after`).  Every
+other case falls back to a full scan of the journal, which sets a new
+anchor (``dbd_tail_rescans_total`` counts these): the cursor changed
+from outside, the anchor line is gone (compaction, or a rewritten file),
+or a line fails to decode.  A torn tail that :meth:`StateSave.recover`
+drops leaves the surviving records byte-identical, so the anchor holds.
+
+When the leader compacts the journal past the daemon's cursor, the full
+scan bootstraps from the latest snapshot (which carries both the
+accounting rows and the job table) and tailing resumes from the
 snapshot's sequence number.
 """
 
@@ -28,7 +39,7 @@ from repro import telemetry
 from repro.slurm.accounting import AccountingDatabase, record_from_job
 from repro.slurm.controller import Slurmctld, _job_from_dict, descriptor_from_dict
 from repro.slurm.job import Job, JobState
-from repro.slurm.statesave import JournalRecord, StateSave
+from repro.slurm.statesave import JournalAnchor, JournalRecord, StateSave
 from repro.slurm.workflow import workflow_rollup
 
 __all__ = ["SlurmDbd"]
@@ -46,7 +57,12 @@ class SlurmDbd:
         self.cursor = 0
         #: shadow job table rebuilt from the event stream
         self._jobs: dict[int, Job] = {}
+        #: end of the last journal record read; None until a read finds one
+        self._anchor: Optional[JournalAnchor] = None
+        #: the cursor as the last pump left it (None before the first pump)
+        self._pumped_cursor: Optional[int] = None
         self.bootstraps = 0
+        self.rescans = 0
         self.events_applied = 0
 
     # ------------------------------------------------------------------
@@ -55,22 +71,45 @@ class SlurmDbd:
 
         Returns the number of records consumed.  Safe to call at any
         cadence (the drill runs it as a heartbeat) and safe to re-run —
-        duplicates are dropped at the accounting layer.
+        duplicates are dropped at the accounting layer.  Reads only the
+        records after the anchor while it holds; otherwise re-scans the
+        whole journal (see the module docstring).
         """
-        min_seq = self.statesave.min_journal_seq()
-        if not min_seq:
+        tail = None
+        if self._anchor is not None and self.cursor == self._pumped_cursor:
+            tail = self.statesave.read_after(self._anchor)
+        if tail is None:
+            if self._pumped_cursor is not None:
+                self.rescans += 1
+                telemetry.counter("dbd_tail_rescans_total").inc()
+            records, anchor = self._full_scan()
+        else:
+            records, anchor = tail
+        applied = 0
+        for rec in records:
+            if rec.seq <= self.cursor:
+                continue
+            self.apply_event(rec)
+            self.cursor = rec.seq
+            applied += 1
+        self._anchor = anchor
+        self._pumped_cursor = self.cursor
+        return applied
+
+    def _full_scan(self) -> "tuple[list[JournalRecord], Optional[JournalAnchor]]":
+        """Read the whole journal, bootstrapping when it was compacted
+        past the cursor."""
+        records, anchor = self.statesave.read_journal()
+        if records:
+            min_seq = records[0].seq
+        else:
             # empty journal: everything may be behind the latest snapshot
             # (compaction right after a snapshot leaves no tail at all)
             min_seq = self.statesave.latest_snapshot_seq() + 1
         if min_seq > 1 and self.cursor < min_seq - 1:
             # the journal was compacted past our cursor; re-bootstrap
             self._bootstrap()
-        applied = 0
-        for rec in self.statesave.read_records(self.cursor):
-            self.apply_event(rec)
-            self.cursor = rec.seq
-            applied += 1
-        return applied
+        return records, anchor
 
     def _bootstrap(self) -> None:
         snap = self.statesave.load_latest_snapshot()

@@ -8,15 +8,20 @@ restored controller rebuilds from any journal prefix is **byte-equal**
 ended.  The digests are captured via the ``on_append`` observer hook
 during the uninterrupted run, so the comparison covers every crash
 offset, not just the final one.
+
+:class:`TestDbdTail` holds the reader's side: a slurmdbd that tails the
+journal from its anchor ends every pump where a fresh full scan would.
 """
 
 import json
 import os
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import faults
+from repro.api.types import JobInfo
 from repro.core.domain.errors import (
     ControllerCrashError,
     JournalCorruptError,
@@ -25,6 +30,7 @@ from repro.core.domain.errors import (
 from repro.slurm.cluster import HPCG_BINARY, SimCluster
 from repro.slurm.config import SlurmConfig
 from repro.slurm.controller import Slurmctld
+from repro.slurm.dbd import SlurmDbd
 from repro.slurm.job import JobDescriptor
 from repro.slurm.statesave import (
     JournalRecord,
@@ -198,8 +204,21 @@ class TestSnapshots:
         ss.append("submit", {"job_id": 4}, epoch=0, time=5.0)
         assert ss.compact() == 4
         assert [r.seq for r in ss.read_records()] == [5]
-        assert ss.min_journal_seq() == 5
         assert ss.last_seq == 5  # appends continue from the same sequence
+
+    def test_reopen_after_compacting_everything_continues_the_sequence(self, tmp_path):
+        ss = StateSave(str(tmp_path), fsync=False)
+        for i in range(3):
+            ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
+        ss.write_snapshot({"upto": 3}, epoch=0, time=3.0)
+        assert ss.compact() == 3
+        ss.close()
+        again = StateSave(str(tmp_path), fsync=False)  # the journal is empty
+        assert again.last_seq == 3
+        again.append("submit", {"job_id": 3}, epoch=0, time=4.0)
+        # numbered past the snapshot, so a restore's replay does not skip it
+        assert [r.seq for r in again.read_records(after_seq=3)] == [4]
+        again.close()
 
     def test_should_snapshot_interval(self, tmp_path):
         ss = StateSave(str(tmp_path), fsync=False, snapshot_interval=2)
@@ -347,3 +366,161 @@ class TestReplayInvariant:
         states = {j.descriptor.name: j.state.name for j in restored.jobs.values()}
         assert states == {"prop-0": "COMPLETED", "prop-1": "COMPLETED"}
         assert len(restored.accounting) == 2
+
+
+# ----------------------------------------------------------------------
+# the dbd tail is a full scan, paid for by the new records only
+# ----------------------------------------------------------------------
+
+#: (operation, argument) pairs; the argument sizes a job or picks a cursor
+dbd_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["work", "pump", "compact", "torn", "rewind", "late"]),
+        st.integers(0, 40),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _dbd_view(dbd: SlurmDbd):
+    """Cursor, rows, joules and the shadow job table as REST serves it.
+
+    The table is compared through :class:`JobInfo`: a dbd that bootstraps
+    from a snapshot also carries controller-only fields (workload handles,
+    scheduler pending reasons) that the journal fold never sets.
+    """
+    return (
+        dbd.cursor,
+        dbd.db.all(),
+        dbd.db.total_energy_j(),
+        {job_id: JobInfo.from_job(job) for job_id, job in dbd.jobs().items()},
+    )
+
+
+def _torn_append(ss: StateSave) -> None:
+    """One append the crash tears in half (the record is not durable)."""
+    faults.configure("journal.torn_write=1:1", seed=0)
+    try:
+        with pytest.raises(ControllerCrashError):
+            ss.append("pass", {}, epoch=ss.epoch, time=0.0)
+    finally:
+        faults.reset()
+
+
+class _TailHarness:
+    """Tailing dbds beside a journaled cluster, checked against fresh ones."""
+
+    def __init__(self, tmpdir: str) -> None:
+        self.ss = StateSave(tmpdir, fsync=False)
+        self.cluster = SimCluster(n_nodes=2, statesave=self.ss, hpcg_duration_s=30.0)
+        self.dbds: list[SlurmDbd] = []
+        #: per dbd: journal last_seq at its previous pump, or None when its
+        #: next pump is not a steady-state one (first pump, compaction
+        #: since, cursor moved, or no record to anchor on)
+        self.steady_since: dict[int, "int | None"] = {}
+        self.jobs = 0
+
+    def late(self) -> None:
+        self.dbds.append(SlurmDbd(self.ss))
+        self.steady_since[len(self.dbds) - 1] = None
+
+    def work(self, size: int) -> None:
+        self.jobs += 1
+        self.cluster.ctld.submit(
+            JobDescriptor(
+                name=f"tail-{self.jobs}", num_tasks=1 + size % 32,
+                binary=HPCG_BINARY, time_limit_s=600,
+            )
+        )
+        self.cluster.sim.run(until=self.cluster.sim.now + 20.0)
+
+    def compact(self) -> None:
+        self.ss.write_snapshot(
+            self.cluster.ctld.capture_state(), epoch=self.ss.epoch,
+            time=self.cluster.sim.now,
+        )
+        if self.ss.compact():
+            self.steady_since = dict.fromkeys(self.steady_since)
+
+    def rewind(self, to: int) -> None:
+        dbd = self.dbds[0]
+        if to < dbd.cursor:
+            dbd.cursor = to
+            self.steady_since[0] = None
+
+    def pump(self) -> None:
+        fresh = SlurmDbd(self.ss)
+        fresh.pump()
+        want = _dbd_view(fresh)
+        for i, dbd in enumerate(self.dbds):
+            rescans = dbd.rescans
+            with mock.patch.object(
+                JournalRecord, "decode", side_effect=JournalRecord.decode
+            ) as decode:
+                dbd.pump()
+            since = self.steady_since[i]
+            if since is not None:
+                assert decode.call_count == self.ss.last_seq - since
+                assert dbd.rescans == rescans
+            assert _dbd_view(dbd) == want
+            anchored = bool(self.ss.read_records())
+            self.steady_since[i] = self.ss.last_seq if anchored else None
+
+    def torn(self) -> None:
+        _torn_append(self.ss)
+        self.pump()  # the half-record is no complete line: nothing to read
+        assert self.ss.recover() == 1
+        self.pump()  # the rewrite is byte-identical: every anchor holds
+
+
+class TestDbdTail:
+    @settings(max_examples=30, deadline=None)
+    @given(ops=dbd_ops_strategy)
+    @example(
+        ops=[
+            ("work", 8), ("pump", 0), ("work", 16), ("compact", 0),
+            ("work", 4), ("compact", 0), ("work", 31), ("pump", 0),
+            ("torn", 0), ("rewind", 2), ("late", 0), ("work", 2), ("pump", 0),
+        ]
+    )
+    @example(ops=[("work", 8), ("work", 3), ("pump", 0), ("rewind", 0), ("pump", 0)])
+    def test_tail_matches_a_fresh_full_scan(self, ops, tmp_path_factory):
+        harness = _TailHarness(str(tmp_path_factory.mktemp("dbdtail")))
+        try:
+            harness.late()
+            for op, arg in ops:
+                if op == "rewind":
+                    harness.rewind(arg)
+                elif op == "work":
+                    harness.work(arg)
+                else:
+                    getattr(harness, op)()
+            harness.cluster.sim.run()
+            harness.pump()
+            assert harness.dbds[-1].db.total_energy_j() == pytest.approx(
+                harness.cluster.accounting.total_energy_j()
+            )
+        finally:
+            harness.ss.close()
+
+    def test_appends_after_an_unrecovered_tear_still_raise(self, tmp_path):
+        harness = _TailHarness(str(tmp_path))
+        harness.late()
+        harness.work(8)
+        harness.pump()
+        ss, tailing = harness.ss, harness.dbds[0]
+        _torn_append(ss)
+        # the first append lands on the half-record: one damaged last line,
+        # which the tail (falling back) and a full scan both drop as torn
+        ss.append("pass", {}, epoch=ss.epoch, time=1.0)
+        fresh = SlurmDbd(ss)
+        fresh.pump()
+        tailing.pump()
+        assert _dbd_view(tailing) == _dbd_view(fresh)
+        # a valid record after the damaged line is a hole in the middle
+        ss.append("pass", {}, epoch=ss.epoch, time=2.0)
+        for dbd in (tailing, SlurmDbd(ss)):
+            with pytest.raises(JournalCorruptError):
+                dbd.pump()
+        ss.close()
