@@ -46,7 +46,6 @@ import time
 
 import os
 
-import repro.core  # noqa: F401  - load core before slurm (import cycle)
 from repro import telemetry
 from repro.slurm.job import Job, JobDescriptor
 from repro.slurm.sched_index import ClusterState

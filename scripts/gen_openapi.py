@@ -16,7 +16,6 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-import repro.core  # noqa: F401,E402  (resolves the repro.slurm import cycle)
 from repro.api.openapi import generate_openapi  # noqa: E402
 
 DEFAULT_OUT = os.path.join(

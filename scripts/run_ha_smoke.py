@@ -34,7 +34,6 @@ import json
 import sys
 import tempfile
 
-import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
 from repro.faults.profiles import PROFILES
 from repro.slurm.ha import run_failover_drill
 

@@ -37,7 +37,6 @@ import sys
 import tempfile
 import time
 
-import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
 from repro.api.auth import TokenAuthority
 from repro.restd.gateway import RestGateway
 from repro.restd.server import RestdServer, SimPump

@@ -40,7 +40,6 @@ import sys
 import tempfile
 from typing import Optional
 
-import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
 from repro import faults
 from repro.core.domain.errors import (
     ControllerCrashError,

@@ -15,7 +15,10 @@ Chronus is organised as the paper's Figure 11 Clean Architecture:
   Slurm cluster), :mod:`repro.core.services` (IPMI sampling, lscpu).
 * :mod:`repro.core.presenter` + :mod:`repro.core.cli` — the CLI boundary.
 * :mod:`repro.core.factory` — the composition root (the paper's
-  ``main.py`` / ModelFactory of Listing 2).
+  ``main.py`` / ModelFactory of Listing 2).  It is not imported here:
+  it pulls in the runners and through them the Slurm simulator, which
+  itself imports :mod:`repro.core.domain`.  Import it as
+  ``repro.core.factory``.
 """
 
 from repro.core.domain import (
@@ -27,7 +30,6 @@ from repro.core.domain import (
     Run,
     SystemInfo,
 )
-from repro.core.factory import ChronusApp, ModelFactory
 
 __all__ = [
     "BenchmarkResult",
@@ -37,6 +39,4 @@ __all__ = [
     "ModelMetadata",
     "Run",
     "SystemInfo",
-    "ChronusApp",
-    "ModelFactory",
 ]

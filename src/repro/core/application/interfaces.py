@@ -101,10 +101,10 @@ class RepositoryInterface(abc.ABC):
         """Persist one model record; returns its id.
 
         ``metadata.model_id == 0`` asks the repository to assign the next
-        free id *inside* the save (one transaction for SQLite) — callers
-        must use the returned id, never a prior ``next_model_id`` read,
-        so two concurrent saves can never race onto the same id.  A
-        non-zero id upserts that exact row (lifecycle stage changes).
+        free id *inside* the save (one transaction for SQLite), so two
+        concurrent saves can never race onto the same id; callers use the
+        returned id.  A non-zero id upserts that exact row (lifecycle
+        stage changes).
         """
 
     def save_model_records(self, records: Sequence[ModelMetadata]) -> list[int]:
@@ -124,15 +124,6 @@ class RepositoryInterface(abc.ABC):
     @abc.abstractmethod
     def list_models(self) -> list[ModelMetadata]:
         """All model records, ordered by id."""
-
-    @abc.abstractmethod
-    def next_model_id(self) -> int:
-        """.. deprecated:: read-only *hint* of the next id.
-
-        Kept for introspection/display only.  The value is stale the
-        moment it is returned; id assignment happens inside
-        :meth:`save_model_metadata` (pass ``model_id=0``).
-        """
 
 
 class OptimizerInterface(abc.ABC):

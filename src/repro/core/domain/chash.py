@@ -12,6 +12,10 @@ The C original::
 
 (djb2 with a 53871 seed).  ``unsigned long`` is 64-bit on the paper's
 x86-64 Linux targets, so arithmetic wraps modulo 2^64.
+
+The eco plugin, the predict router and :class:`SystemInfo` fingerprints
+all hash with it.  It lives in the domain layer, which imports nothing
+from the Slurm simulator, so importing it never loads the controller.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.slurm.plugins.chash import simple_hash
+from repro.core.domain.chash import simple_hash
 
 __all__ = ["SystemInfo"]
 

@@ -35,7 +35,7 @@ from repro.core.services.lscpu_info import LscpuSystemInfo
 from repro.core.storage.etc_storage import EtcStorage
 from repro.core.storage.local_file_repository import LocalFileRepository
 from repro.slurm.cluster import HPCG_BINARY, SimCluster
-from repro.slurm.plugins.chash import simple_hash
+from repro.core.domain.chash import simple_hash
 from repro.slurm.plugins.eco import JobSubmitEco, PluginState
 
 __all__ = ["ModelFactory", "ChronusApp"]

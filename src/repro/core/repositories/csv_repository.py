@@ -184,8 +184,3 @@ class CsvRepository(RepositoryInterface):
         return sorted(
             (ModelMetadata.from_dict(r) for r in rows), key=lambda m: m.model_id
         )
-
-    def next_model_id(self) -> int:
-        """Deprecated read-only hint; see RepositoryInterface."""
-        rows = self._read_rows("models.csv")
-        return max((int(r["model_id"]) for r in rows), default=0) + 1

@@ -70,8 +70,7 @@ class MemoryRepository(RepositoryInterface):
     # --- models --------------------------------------------------------
     def save_model_metadata(self, metadata: ModelMetadata) -> int:
         # id assignment happens inside the save, under one lock, so two
-        # concurrent saves can never be handed the same id (the
-        # next_model_id -> save TOCTOU the old flow had)
+        # concurrent saves can never be handed the same id
         with self._model_lock:
             if metadata.model_id == 0:
                 metadata = replace(metadata, model_id=self._next_model_id)
@@ -89,7 +88,3 @@ class MemoryRepository(RepositoryInterface):
 
     def list_models(self) -> list[ModelMetadata]:
         return [self._models[k] for k in sorted(self._models)]
-
-    def next_model_id(self) -> int:
-        """Deprecated read-only hint; see RepositoryInterface."""
-        return self._next_model_id

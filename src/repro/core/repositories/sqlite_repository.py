@@ -349,7 +349,7 @@ class SqliteRepository(RepositoryInterface):
                     # id 0 = "assign for me": a NULL primary key picks the
                     # next rowid inside this same transaction, so two
                     # concurrent saves serialize on the database instead
-                    # of racing a next_model_id() read (the old TOCTOU)
+                    # of racing onto one id
                     cur = conn.execute(
                         """
                         INSERT INTO models (
@@ -408,9 +408,3 @@ class SqliteRepository(RepositoryInterface):
         with self._connect() as conn:
             rows = conn.execute("SELECT * FROM models ORDER BY id").fetchall()
         return [self._record_from_row(r) for r in rows]
-
-    def next_model_id(self) -> int:
-        """Deprecated read-only hint; see RepositoryInterface."""
-        with self._connect() as conn:
-            row = conn.execute("SELECT MAX(id) AS m FROM models").fetchone()
-        return int(row["m"] or 0) + 1

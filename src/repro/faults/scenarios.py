@@ -208,7 +208,6 @@ def run_failover_scenario(
     """
     import tempfile
 
-    import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
     from repro.slurm.ha import run_failover_drill
 
     baseline = _collect(_FAILOVER_METRICS)
@@ -270,7 +269,6 @@ def run_restd_scenario(
     import json
     import tempfile
 
-    import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
     from repro.api.auth import TokenAuthority
     from repro.restd.gateway import RestGateway
     from repro.restd.server import RestdServer

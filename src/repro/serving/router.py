@@ -45,7 +45,7 @@ from repro.serving.protocol import (
     decode_request_dict,
     encode_response,
 )
-from repro.slurm.plugins.chash import simple_hash
+from repro.core.domain.chash import simple_hash
 
 __all__ = ["ShardRouter", "ROUTER_OPS", "shard_score"]
 

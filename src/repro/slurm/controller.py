@@ -5,26 +5,34 @@ the shared simulator, and every submission or completion triggers a
 scheduling pass.  Job-submit plugins run synchronously inside
 :meth:`Slurmctld.submit`, exactly where the paper's plugin executes.
 
-When constructed with a :class:`~repro.slurm.statesave.StateSave`, the
-controller journals every state mutation (submit with the
-post-plugin-chain descriptor — so eco plugin decisions are replayed, not
-re-decided — start, finish, cancel, drain/resume, scheduling-pass reason
-updates, and the workflow records ``submit_dep``/``dep_release``/
-``reschedule`` whose descriptors likewise carry the already-decided
-release-time predictions) *after* applying it in memory, which gives the replay invariant
-crash recovery rests on: the in-memory state at the moment journal record
-``k`` is appended equals the state produced by replaying records
-``1..k`` into a fresh controller (``tests/test_statesave.py`` property-
-tests this byte-for-byte over random event streams).  Journal appends are
-epoch-fenced: when a peer has taken over (bumped the statesave epoch),
-this controller's next write raises ``StaleEpochError`` and the
-controller halts instead of corrupting the new leader's journal.
+The controller is event-sourced.  Each mutation is one journal record,
+and :meth:`Slurmctld._apply` is the one place a record changes state: the
+job fold of :mod:`repro.slurm.lifecycle` plus the controller's own
+indexes (pending/running lists, the incremental scheduler view, the
+completion schedule, the dependency graph, drained nodes, accounting).
+A live mutation runs its effects first (the plugin chain, starting or
+stopping workloads, reading node energy), builds the record from what
+they produced, applies it, journals it, and only then runs its follow-on
+effects (arm or cancel the completion event, resolve dependents, request
+a pass).  Submit records carry the post-plugin-chain descriptor and the
+workflow records ``submit_dep``/``dep_release``/``reschedule`` carry the
+already-decided release-time predictions, so replay reproduces eco
+decisions instead of re-deciding them.  :meth:`Slurmctld.restore` applies
+the journaled records through the same ``_apply``, which makes the
+replay invariant crash recovery rests on hold by construction: the state
+at the moment record ``k`` is appended equals the state produced by
+replaying records ``1..k`` into a fresh controller
+(``tests/test_statesave.py`` checks it byte-for-byte over random event
+streams).  Journal appends are epoch-fenced: when a peer has taken over
+(bumped the statesave epoch), this controller's next write raises
+``StaleEpochError`` and the controller halts instead of corrupting the
+new leader's journal.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro import faults, telemetry
@@ -34,9 +42,11 @@ from repro.core.domain.errors import (
     StaleEpochError,
 )
 from repro.simkernel.engine import Simulator
+from repro.slurm import lifecycle
 from repro.slurm.accounting import AccountingDatabase
 from repro.slurm.config import SlurmConfig
 from repro.slurm.job import Job, JobDescriptor, JobState
+from repro.slurm.lifecycle import descriptor_to_dict, job_from_dict, job_to_dict
 from repro.slurm.nodemgr import Slurmd, UnknownBinaryError
 from repro.slurm.plugins.base import SLURM_SUCCESS, JobSubmitPlugin, PluginChain
 from repro.slurm.priority import PriorityWeights, order_by_priority
@@ -45,73 +55,11 @@ from repro.slurm.scheduler import NodeView, backfill_schedule, fifo_schedule
 from repro.slurm.statesave import StateSave, state_sha256
 from repro.slurm.workflow import DependencyGraph, dependency_status
 
-__all__ = ["SubmitError", "Slurmctld", "descriptor_to_dict", "descriptor_from_dict"]
+__all__ = ["SubmitError", "Slurmctld"]
 
 
 class SubmitError(RuntimeError):
     """Submission rejected (validation failure or plugin veto)."""
-
-
-def descriptor_to_dict(desc: JobDescriptor) -> dict:
-    return asdict(desc)
-
-
-def descriptor_from_dict(data: dict) -> JobDescriptor:
-    fields = dict(data)
-    fields["srun_args"] = tuple(fields.get("srun_args", ()))
-    fields["array"] = tuple(fields.get("array", ()))
-    fields["dependency"] = tuple(
-        (kind, int(pred)) for kind, pred in fields.get("dependency", ())
-    )
-    return JobDescriptor(**fields)
-
-
-def _job_to_dict(job: Job) -> dict:
-    return {
-        "job_id": job.job_id,
-        "descriptor": descriptor_to_dict(job.descriptor),
-        "submit_time": job.submit_time,
-        "state": job.state.value,
-        "start_time": job.start_time,
-        "end_time": job.end_time,
-        "node": job.node,
-        "node_list": list(job.node_list),
-        "allocated_cores": list(job.allocated_cores),
-        "workload_handle": job.workload_handle,
-        "workload_handles": dict(job.workload_handles),
-        "exit_code": job.exit_code,
-        "stdout": job.stdout,
-        "energy_start_j": job.energy_start_j,
-        "energy_end_j": job.energy_end_j,
-        "pending_reason": job.pending_reason,
-        "array_job_id": job.array_job_id,
-        "array_task_id": job.array_task_id,
-        "attempts": [dict(a) for a in job.attempts],
-    }
-
-
-def _job_from_dict(data: dict) -> Job:
-    return Job(
-        job_id=int(data["job_id"]),
-        descriptor=descriptor_from_dict(data["descriptor"]),
-        submit_time=data["submit_time"],
-        state=JobState(data["state"]),
-        start_time=data["start_time"],
-        end_time=data["end_time"],
-        node=data["node"],
-        node_list=tuple(data["node_list"]),
-        allocated_cores=tuple(data["allocated_cores"]),
-        workload_handle=data["workload_handle"],
-        workload_handles={k: v for k, v in data["workload_handles"].items()},
-        exit_code=data["exit_code"],
-        stdout=data["stdout"],
-        energy_start_j=data["energy_start_j"],
-        energy_end_j=data["energy_end_j"],
-        pending_reason=data["pending_reason"],
-        array_job_id=data["array_job_id"],
-        array_task_id=data["array_task_id"],
-        attempts=[dict(a) for a in data.get("attempts", ())],
-    )
 
 
 class Slurmctld:
@@ -169,7 +117,6 @@ class Slurmctld:
             else (statesave.epoch if statesave is not None else 0)
         )
         self._halted = False
-        self._replaying = False
         #: journal records replayed by the most recent restore()
         self.last_restore_replayed = 0
         if (
@@ -177,14 +124,9 @@ class Slurmctld:
             and statesave.last_seq == 0
             and statesave.load_latest_snapshot() is None
         ):
-            self._journal(
+            self._commit(
                 "genesis",
-                {
-                    "nodes": [
-                        [n.hostname, n.node.total_cores] for n in nodes
-                    ],
-                    "cluster_name": config.cluster_name,
-                },
+                {"nodes": self._topology(), "cluster_name": config.cluster_name},
             )
 
     # ------------------------------------------------------------------
@@ -202,14 +144,15 @@ class Slurmctld:
     # ------------------------------------------------------------------
     # crash safety: journaling, fencing, halt
     # ------------------------------------------------------------------
-    def _journal(self, rtype: str, data: dict) -> None:
-        """Durably record one already-applied mutation.
+    def _commit(self, rtype: str, data: dict) -> None:
+        """One live mutation: apply its record, then durably journal it.
 
-        Called *after* the in-memory mutation (the replay invariant).  A
-        crash fault or a fence rejection halts this controller: either
-        the process "died" mid-write or a newer epoch owns the state.
+        The append comes *after* :meth:`_apply` (the replay invariant).  A
+        crash fault or a fence rejection halts this controller: either the
+        process "died" mid-write or a newer epoch owns the state.
         """
-        if self.statesave is None or self._replaying:
+        self._apply(rtype, data)
+        if self.statesave is None:
             return
         try:
             self.statesave.append(rtype, data, epoch=self.epoch, time=self.sim.now)
@@ -266,7 +209,7 @@ class Slurmctld:
             "pending": list(self._pending),
             "running": list(self._running),
             "drained": sorted(self._drained),
-            "jobs": {str(jid): _job_to_dict(j) for jid, j in self.jobs.items()},
+            "jobs": {str(jid): job_to_dict(j) for jid, j in self.jobs.items()},
             "completion": {
                 str(jid): [t, timed_out]
                 for jid, (t, timed_out) in self._completion_at.items()
@@ -294,7 +237,7 @@ class Slurmctld:
         self._pending = [int(j) for j in state["pending"]]
         self._running = [int(j) for j in state["running"]]
         self._drained = set(state["drained"])
-        self.jobs = {int(k): _job_from_dict(v) for k, v in state["jobs"].items()}
+        self.jobs = {int(k): job_from_dict(v) for k, v in state["jobs"].items()}
         self._completion_at = {
             int(k): (float(v[0]), bool(v[1]))
             for k, v in state["completion"].items()
@@ -303,85 +246,35 @@ class Slurmctld:
         self.accounting.load_capture(state["accounting"])
         self.depgraph = DependencyGraph.from_capture(state.get("depgraph", {}))
 
-    def _apply_record(self, rec) -> None:
-        """Replay one journal record: pure bookkeeping, no side effects.
+    def _topology(self) -> "list[list]":
+        return [[n.hostname, n.node.total_cores] for n in self.nodes]
 
-        No workloads are started or stopped and no scheduler pass runs —
-        the journal already contains every decision's outcome.
+    def _apply(self, rtype: str, data: dict) -> None:
+        """Apply one record: the job fold, then this controller's indexes.
+
+        The controller's only state transition.  Live mutations call it
+        before journaling a record and :meth:`restore` calls it for each
+        replayed one.  Pure bookkeeping: no workload is started or
+        stopped and no event is armed, because the record already holds
+        every decision's outcome.
         """
-        data = rec.data
-        rtype = rec.type
         if rtype == "genesis":
-            topo = [[n.hostname, n.node.total_cores] for n in self.nodes]
-            if data["nodes"] != topo:
+            if data["nodes"] != self._topology():
                 raise ValueError(
                     "journal genesis topology does not match this cluster: "
-                    f"{data['nodes']!r} != {topo!r}"
+                    f"{data['nodes']!r} != {self._topology()!r}"
                 )
-        elif rtype == "submit":
-            job = Job(
-                job_id=int(data["job_id"]),
-                descriptor=descriptor_from_dict(data["descriptor"]),
-                submit_time=data["submit_time"],
-            )
-            self.jobs[job.job_id] = job
-            self._pending.append(job.job_id)
-            self._next_job_id = max(self._next_job_id, job.job_id + 1)
-        elif rtype == "submit_array":
-            master_id = int(data["master_id"])
-            desc = descriptor_from_dict(data["descriptor"])
-            self._next_job_id = max(self._next_job_id, master_id)
-            for index in data["indices"]:
-                job = Job(
-                    job_id=self._next_job_id,
-                    descriptor=replace(desc, array=()),
-                    submit_time=data["submit_time"],
-                    array_job_id=master_id,
-                    array_task_id=int(index),
-                )
-                self.jobs[job.job_id] = job
-                self._pending.append(job.job_id)
-                self._next_job_id += 1
-        elif rtype == "submit_dep":
-            job = Job(
-                job_id=int(data["job_id"]),
-                descriptor=descriptor_from_dict(data["descriptor"]),
-                submit_time=data["submit_time"],
-            )
-            if data["attempt"] is not None:
-                job.attempts.append(dict(data["attempt"]))
-            deps = [(kind, int(pred)) for kind, pred in data["deps"]]
-            if deps:
-                job.pending_reason = "Dependency"
-                self.depgraph.add(job.job_id, deps)
-            self.jobs[job.job_id] = job
-            self._pending.append(job.job_id)
-            self._next_job_id = max(self._next_job_id, job.job_id + 1)
-        elif rtype == "dep_release":
-            job = self.jobs[int(data["job_id"])]
-            job.descriptor = descriptor_from_dict(data["descriptor"])
-            if data["attempt"] is not None:
-                job.attempts.append(dict(data["attempt"]))
-            job.pending_reason = "None"
-            self.depgraph.remove(job.job_id)
-        elif rtype == "reschedule":
-            job = self.jobs[int(data["job_id"])]
-            job.descriptor = descriptor_from_dict(data["descriptor"])
-            job.attempts.append(dict(data["attempt"]))
-            self._reset_for_requeue(job)
-            self._pending.append(job.job_id)
-        elif rtype == "pass":
-            for jid, reason in data["reasons"].items():
-                self.jobs[int(jid)].pending_reason = reason
+            return
+        if rtype == "submit_dep":
+            # first, so a rejected cycle leaves no trace (fail fast, see
+            # DESIGN.md)
+            self.depgraph.add(int(data["job_id"]), data["deps"])
+        jobs = lifecycle.apply(self.jobs, rtype, data)
+        if rtype in ("submit", "submit_array", "submit_dep", "reschedule"):
+            self._pending.extend(job.job_id for job in jobs)
+            self._next_job_id = max(self._next_job_id, jobs[-1].job_id + 1)
         elif rtype == "start":
-            job = self.jobs[int(data["job_id"])]
-            job.state = JobState.RUNNING
-            job.start_time = data["start_time"]
-            job.node_list = tuple(data["node_list"])
-            job.node = job.node_list[0]
-            job.workload_handles = dict(data["handles"])
-            job.workload_handle = data["handles"][job.node]
-            job.energy_start_j = data["energy_start_j"]
+            [job] = jobs
             self._pending.remove(job.job_id)
             self._running.append(job.job_id)
             self.cluster_state.on_job_start(
@@ -393,36 +286,10 @@ class Slurmctld:
                 float(data["completion_time"]),
                 bool(data["timed_out"]),
             )
-        elif rtype == "start_failed":
-            job = self.jobs[int(data["job_id"])]
-            self._pending.remove(job.job_id)
-            job.state = JobState.FAILED
-            job.exit_code = int(data["exit_code"])
-            job.end_time = data["end_time"]
-            job.stdout = data["stdout"]
-            self.accounting.upsert(job)
-        elif rtype == "finish":
-            job = self.jobs[int(data["job_id"])]
-            job.end_time = data["end_time"]
-            job.energy_end_j = data["energy_end_j"]
-            self._running.remove(job.job_id)
-            assert job.start_time is not None
-            self.cluster_state.on_job_finish(
-                job.node_list,
-                job.descriptor.tasks_per_node,
-                job.start_time + job.descriptor.time_limit_s,
-            )
-            self._completion_at.pop(job.job_id, None)
-            job.state = JobState(data["state"])
-            job.exit_code = int(data["exit_code"])
-            job.stdout = data["stdout"]
-            self.accounting.upsert(job)
-        elif rtype == "cancel":
-            job = self.jobs[int(data["job_id"])]
-            if data["was_running"]:
-                job.energy_end_j = data["energy_end_j"]
+        elif rtype in lifecycle.SETTLING:
+            [job] = jobs
+            if rtype == "finish" or data.get("was_running"):
                 self._running.remove(job.job_id)
-                assert job.start_time is not None
                 self.cluster_state.on_job_finish(
                     job.node_list,
                     job.descriptor.tasks_per_node,
@@ -431,20 +298,16 @@ class Slurmctld:
                 self._completion_at.pop(job.job_id, None)
             else:
                 self._pending.remove(job.job_id)
-            job.state = JobState.CANCELLED
-            job.end_time = data["end_time"]
-            if "reason" in data:
-                job.pending_reason = data["reason"]
             self.depgraph.remove(job.job_id)
             self.accounting.upsert(job)
+        elif rtype == "dep_release":
+            self.depgraph.remove(int(data["job_id"]))
         elif rtype == "drain":
             self._drained.add(data["hostname"])
             self.cluster_state.drain(data["hostname"])
         elif rtype == "resume":
             self._drained.discard(data["hostname"])
             self.cluster_state.resume(data["hostname"])
-        else:
-            raise ValueError(f"unknown journal record type {rtype!r}")
 
     @classmethod
     def restore(
@@ -484,26 +347,22 @@ class Slurmctld:
             sim, config, nodes, accounting,
             statesave=statesave, epoch=epoch, name=name,
         )
-        ctld._replaying = True
-        try:
-            # replay re-derives occupancy from the journal; start from an
-            # empty cluster view even when the physical nodes still hold
-            # live steps (attach takeover), or starts would double-count
-            ctld.cluster_state = ClusterState(
-                (n.hostname, n.node.total_cores, n.node.total_cores)
-                for n in nodes
-            )
-            snap = statesave.load_latest_snapshot()
-            after = 0
-            if snap is not None:
-                ctld._load_state(snap["state"])
-                after = int(snap["seq"])
-            replayed = 0
-            for rec in statesave.replay(after):
-                ctld._apply_record(rec)
-                replayed += 1
-        finally:
-            ctld._replaying = False
+        # replay re-derives occupancy from the journal; start from an
+        # empty cluster view even when the physical nodes still hold live
+        # steps (attach takeover), or starts would double-count
+        ctld.cluster_state = ClusterState(
+            (n.hostname, n.node.total_cores, n.node.total_cores)
+            for n in nodes
+        )
+        snap = statesave.load_latest_snapshot()
+        after = 0
+        if snap is not None:
+            ctld._load_state(snap["state"])
+            after = int(snap["seq"])
+        replayed = 0
+        for rec in statesave.replay(after):
+            ctld._apply(rec.type, rec.data)
+            replayed += 1
         ctld.last_restore_replayed = replayed
         ctld._rearm(attach)
         telemetry.log_event(
@@ -627,26 +486,19 @@ class Slurmctld:
             return self._submit_array(descriptor)
         if descriptor.dependency or descriptor.workflow:
             return self._submit_dep(descriptor)
-        job = Job(
-            job_id=self._next_job_id,
-            descriptor=descriptor,
-            submit_time=self.sim.now,
-        )
-        self._next_job_id += 1
-        self.jobs[job.job_id] = job
-        self._pending.append(job.job_id)
-        self.log.append(f"[{self.sim.now:.1f}] submitted job {job.job_id} ({descriptor.name})")
-        # journaled post-plugin-chain, so replay reproduces eco decisions
-        self._journal(
+        job_id = self._next_job_id
+        # the post-plugin-chain descriptor, so replay reproduces eco decisions
+        self._commit(
             "submit",
             {
-                "job_id": job.job_id,
+                "job_id": job_id,
                 "descriptor": descriptor_to_dict(descriptor),
-                "submit_time": job.submit_time,
+                "submit_time": self.sim.now,
             },
         )
+        self.log.append(f"[{self.sim.now:.1f}] submitted job {job_id} ({descriptor.name})")
         self._request_schedule()
-        return job.job_id
+        return job_id
 
     def _submit_dep(self, descriptor: JobDescriptor) -> int:
         """Submit a workflow member: dependency DAG + attempt provenance.
@@ -660,31 +512,21 @@ class Slurmctld:
         """
         deps = self._expand_deps(descriptor.dependency)
         job_id = self._next_job_id
-        # cycle rejection happens before any state mutates: a rejected
-        # submission must leave no trace (fail fast, see DESIGN.md)
-        self.depgraph.add(job_id, deps)
-        job = Job(job_id=job_id, descriptor=descriptor, submit_time=self.sim.now)
-        attempt = self._attempt_entry(1, "submit")
-        job.attempts.append(attempt)
-        if deps:
-            job.pending_reason = "Dependency"
-        self._next_job_id += 1
-        self.jobs[job_id] = job
-        self._pending.append(job_id)
-        self.log.append(
-            f"[{self.sim.now:.1f}] submitted job {job_id} ({descriptor.name}"
-            f"{', workflow ' + descriptor.workflow if descriptor.workflow else ''}"
-            f"{', held on ' + str(len(deps)) + ' dependencies' if deps else ''})"
-        )
-        self._journal(
+        # _apply rejects a cycle before any state changes
+        self._commit(
             "submit_dep",
             {
                 "job_id": job_id,
                 "descriptor": descriptor_to_dict(descriptor),
-                "submit_time": job.submit_time,
+                "submit_time": self.sim.now,
                 "deps": [[kind, pred] for kind, pred in deps],
-                "attempt": attempt,
+                "attempt": self._attempt_entry(1, "submit"),
             },
+        )
+        self.log.append(
+            f"[{self.sim.now:.1f}] submitted job {job_id} ({descriptor.name}"
+            f"{', workflow ' + descriptor.workflow if descriptor.workflow else ''}"
+            f"{', held on ' + str(len(deps)) + ' dependencies' if deps else ''})"
         )
         if deps:
             # predecessors may already be terminal: resolve now, but skip
@@ -743,28 +585,12 @@ class Slurmctld:
         """Expand a ``--array`` submission into one task per index.
 
         The plugin chain already ran once on the master descriptor (like
-        slurmctld, which calls job_submit once per array submission); each
-        task gets an independent descriptor copy so runtime mutation of
-        one cannot leak into siblings.
+        slurmctld, which calls job_submit once per array submission); the
+        fold gives each task its own descriptor copy, so runtime mutation
+        of one cannot leak into siblings.
         """
         master_id = self._next_job_id
-        for index in descriptor.array:
-            task_desc = replace(descriptor, array=())
-            job = Job(
-                job_id=self._next_job_id,
-                descriptor=task_desc,
-                submit_time=self.sim.now,
-                array_job_id=master_id,
-                array_task_id=index,
-            )
-            self._next_job_id += 1
-            self.jobs[job.job_id] = job
-            self._pending.append(job.job_id)
-        self.log.append(
-            f"[{self.sim.now:.1f}] submitted array job {master_id} "
-            f"({descriptor.name}, {len(descriptor.array)} tasks)"
-        )
-        self._journal(
+        self._commit(
             "submit_array",
             {
                 "master_id": master_id,
@@ -772,6 +598,10 @@ class Slurmctld:
                 "descriptor": descriptor_to_dict(descriptor),
                 "submit_time": self.sim.now,
             },
+        )
+        self.log.append(
+            f"[{self.sim.now:.1f}] submitted array job {master_id} "
+            f"({descriptor.name}, {len(descriptor.array)} tasks)"
         )
         self._request_schedule()
         return master_id
@@ -916,7 +746,7 @@ class Slurmctld:
             if j.pending_reason != reasons_before[j.job_id]
         }
         if reason_diff:
-            self._journal("pass", {"reasons": reason_diff})
+            self._commit("pass", {"reasons": reason_diff})
         for placement in placements:
             self._start_job(placement.job, placement.node_names)
         telemetry.histogram("sched_cycle_seconds").observe(
@@ -968,55 +798,43 @@ class Slurmctld:
         except UnknownBinaryError as exc:
             for slurmd, step in steps:  # roll back shards already launched
                 slurmd.node.stop_workload(step.handle)
-            self._pending.remove(job.job_id)
-            job.state = JobState.FAILED
-            job.exit_code = 127  # command not found
-            job.end_time = self.sim.now
-            job.stdout = f"slurmstepd: error: {exc}\n"
-            self.accounting.upsert(job)
-            telemetry.counter("sched_jobs_failed_total").inc()
-            self.log.append(f"[{self.sim.now:.1f}] job {job.job_id} failed: {exc}")
-            self._journal(
+            self._commit(
                 "start_failed",
                 {
                     "job_id": job.job_id,
-                    "exit_code": job.exit_code,
-                    "end_time": job.end_time,
-                    "stdout": job.stdout,
+                    "exit_code": 127,  # command not found
+                    "end_time": self.sim.now,
+                    "stdout": f"slurmstepd: error: {exc}\n",
                 },
             )
+            telemetry.counter("sched_jobs_failed_total").inc()
+            self.log.append(f"[{self.sim.now:.1f}] job {job.job_id} failed: {exc}")
             # exit 127 is permanent (no binary to retry), so the retry
             # policy never applies — dependents settle immediately
             self._resolve_dependents_of(job.job_id)
             return
-        job.state = JobState.RUNNING
-        job.start_time = self.sim.now
-        job.node = node_names[0]
-        job.node_list = tuple(node_names)
-        job.workload_handles = {
-            slurmd.hostname: step.handle for slurmd, step in steps
-        }
-        job.workload_handle = steps[0][1].handle
-        job.energy_start_j = sum(
-            slurmd.node.true_energy_joules for slurmd, _ in steps
-        )
-        self._pending.remove(job.job_id)
-        self._running.append(job.job_id)
-        self.cluster_state.on_job_start(
-            node_names,
-            job.descriptor.tasks_per_node,
-            self.sim.now + job.descriptor.time_limit_s,
-        )
         step_runtime = max(step.runtime_s for _, step in steps)
         runtime = min(step_runtime, job.descriptor.time_limit_s)
         timed_out = step_runtime > job.descriptor.time_limit_s
-        ev = self.sim.call_in(
+        self._commit(
+            "start",
+            {
+                "job_id": job.job_id,
+                "node_list": list(node_names),
+                "start_time": self.sim.now,
+                "completion_time": self.sim.now + runtime,
+                "timed_out": timed_out,
+                "energy_start_j": sum(
+                    slurmd.node.true_energy_joules for slurmd, _ in steps
+                ),
+                "handles": {slurmd.hostname: step.handle for slurmd, step in steps},
+            },
+        )
+        self._completion_events[job.job_id] = self.sim.call_in(
             runtime,
             lambda jid=job.job_id, to=timed_out: self._complete_job(jid, to),
             name=f"job{job.job_id}-done",
         )
-        self._completion_events[job.job_id] = ev
-        self._completion_at[job.job_id] = (self.sim.now + runtime, timed_out)
         telemetry.counter("sched_jobs_started_total").inc()
         telemetry.log_event(
             "job.started", job_id=job.job_id, nodes=",".join(node_names),
@@ -1027,18 +845,6 @@ class Slurmctld:
             f"{','.join(node_names)} (tasks={job.descriptor.num_tasks}, "
             f"tpc={job.descriptor.threads_per_core}, "
             f"freq={job.descriptor.cpu_freq_min or 'default'})"
-        )
-        self._journal(
-            "start",
-            {
-                "job_id": job.job_id,
-                "node_list": list(node_names),
-                "start_time": job.start_time,
-                "completion_time": self.sim.now + runtime,
-                "timed_out": timed_out,
-                "energy_start_j": job.energy_start_j,
-                "handles": dict(job.workload_handles),
-            },
         )
 
     def _complete_job(self, job_id: int, timed_out: bool) -> None:
@@ -1055,43 +861,31 @@ class Slurmctld:
             if hostname == job.node:
                 workload = stopped
             energy_end += slurmd.node.true_energy_joules
-        job.end_time = self.sim.now
-        job.energy_end_j = energy_end
-        self._running.remove(job_id)
-        assert job.start_time is not None
-        self.cluster_state.on_job_finish(
-            job.node_list,
-            job.descriptor.tasks_per_node,
-            job.start_time + job.descriptor.time_limit_s,
-        )
-        self._completion_events.pop(job_id, None)
-        self._completion_at.pop(job_id, None)
         if timed_out:
-            job.state = JobState.TIMEOUT
-            job.exit_code = 1
-            job.stdout = "slurmstepd: error: *** JOB CANCELLED DUE TO TIME LIMIT ***\n"
-            telemetry.counter("sched_jobs_timeout_total").inc()
+            state, exit_code = JobState.TIMEOUT, 1
+            stdout = "slurmstepd: error: *** JOB CANCELLED DUE TO TIME LIMIT ***\n"
         else:
-            job.state = JobState.COMPLETED
-            job.exit_code = 0
+            state, exit_code = JobState.COMPLETED, 0
             render = getattr(workload, "render_output", None)
-            job.stdout = render() if callable(render) else ""
-            telemetry.counter("sched_jobs_completed_total").inc()
-        self.accounting.upsert(job)
-        self.log.append(
-            f"[{self.sim.now:.1f}] job {job_id} {'timed out' if timed_out else 'completed'}"
-        )
-        self._journal(
+            stdout = render() if callable(render) else ""
+        self._commit(
             "finish",
             {
                 "job_id": job_id,
-                "end_time": job.end_time,
+                "end_time": self.sim.now,
                 "timed_out": timed_out,
-                "energy_end_j": job.energy_end_j,
-                "state": job.state.value,
-                "exit_code": job.exit_code,
-                "stdout": job.stdout,
+                "energy_end_j": energy_end,
+                "state": state.value,
+                "exit_code": exit_code,
+                "stdout": stdout,
             },
+        )
+        self._completion_events.pop(job_id, None)
+        telemetry.counter(
+            "sched_jobs_timeout_total" if timed_out else "sched_jobs_completed_total"
+        ).inc()
+        self.log.append(
+            f"[{self.sim.now:.1f}] job {job_id} {'timed out' if timed_out else 'completed'}"
         )
         # retry-on-failure runs before dependent resolution: a job about
         # to be requeued is not a settled outcome, so its afterok
@@ -1142,23 +936,20 @@ class Slurmctld:
         already covers it.
         """
         job = self.jobs[job_id]
-        self.depgraph.remove(job_id)
-        attempt = None
+        descriptor, attempt = job.descriptor, None
         if repredict:
-            self._repredict(job)
+            descriptor = self._repredict(job)
             attempt = self._attempt_entry(len(job.attempts) + 1, "dep_release")
-            job.attempts.append(attempt)
-        job.pending_reason = "None"
-        telemetry.counter("sched_dep_releases_total").inc()
-        self.log.append(f"[{self.sim.now:.1f}] job {job_id} dependencies satisfied")
-        self._journal(
+        self._commit(
             "dep_release",
             {
                 "job_id": job_id,
-                "descriptor": descriptor_to_dict(job.descriptor),
+                "descriptor": descriptor_to_dict(descriptor),
                 "attempt": attempt,
             },
         )
+        telemetry.counter("sched_dep_releases_total").inc()
+        self.log.append(f"[{self.sim.now:.1f}] job {job_id} dependencies satisfied")
         if faults.fire("dep.release_crash"):
             self.halt()
             raise ControllerCrashError(
@@ -1174,47 +965,41 @@ class Slurmctld:
         and settle through the same path (afterany releases, afterok
         cancels onward), so a failed DAG drains instead of deadlocking.
         """
-        job = self.jobs[job_id]
-        self._pending.remove(job_id)
-        self.depgraph.remove(job_id)
-        job.state = JobState.CANCELLED
-        job.end_time = self.sim.now
-        job.pending_reason = "DependencyNeverSatisfied"
-        self.accounting.upsert(job)
+        self._commit(
+            "cancel",
+            {
+                "job_id": job_id,
+                "end_time": self.sim.now,
+                "was_running": False,
+                "energy_end_j": self.jobs[job_id].energy_end_j,
+                "reason": "DependencyNeverSatisfied",
+            },
+        )
         telemetry.counter("sched_dep_never_satisfied_total").inc()
         self.log.append(
             f"[{self.sim.now:.1f}] job {job_id} cancelled: "
             "dependency never satisfied"
         )
-        self._journal(
-            "cancel",
-            {
-                "job_id": job_id,
-                "end_time": job.end_time,
-                "was_running": False,
-                "energy_end_j": job.energy_end_j,
-                "reason": "DependencyNeverSatisfied",
-            },
-        )
         self._resolve_dependents_of(job_id)
 
-    def _repredict(self, job: Job) -> None:
+    def _repredict(self, job: Job) -> JobDescriptor:
         """Re-run the plugin chain on a copy of the job's descriptor.
 
         The live chain sees current conditions (promoted models, drained
-        hardware).  A veto or an invalid rewrite keeps the old descriptor
-        — an energy optimizer must never block a release or a requeue.
+        hardware).  Returns the rewritten copy for the caller's record; a
+        veto or an invalid rewrite returns the old descriptor — an energy
+        optimizer must never block a release or a requeue.
         """
         desc = replace(job.descriptor)
         rc, _ = self.plugin_chain.run(desc, job.descriptor.uid)
         if rc != SLURM_SUCCESS:
-            return
+            return job.descriptor
         max_cores = max(n.node.total_cores for n in self.nodes)
         try:
             desc.validate(max_cores, cluster_nodes=len(self.nodes))
         except ValueError:
-            return
-        job.descriptor = desc
+            return job.descriptor
+        return desc
 
     def _should_auto_reschedule(self, job: Job) -> bool:
         """Retry-on-failure policy: workflow members, bounded attempts.
@@ -1253,23 +1038,20 @@ class Slurmctld:
             raise SubmitError(
                 f"job {job_id} completed successfully; nothing to reschedule"
             )
-        self._repredict(job)
+        descriptor = self._repredict(job)
         attempt = self._attempt_entry(len(job.attempts) + 1, "reschedule")
-        job.attempts.append(attempt)
-        self._reset_for_requeue(job)
-        self._pending.append(job_id)
+        self._commit(
+            "reschedule",
+            {
+                "job_id": job_id,
+                "descriptor": descriptor_to_dict(descriptor),
+                "attempt": attempt,
+            },
+        )
         telemetry.counter("sched_reschedules_total").inc()
         self.log.append(
             f"[{self.sim.now:.1f}] job {job_id} rescheduled "
             f"(attempt {attempt['n']})"
-        )
-        self._journal(
-            "reschedule",
-            {
-                "job_id": job_id,
-                "descriptor": descriptor_to_dict(job.descriptor),
-                "attempt": attempt,
-            },
         )
         if faults.fire("reschedule.storm"):
             self.halt()
@@ -1280,23 +1062,6 @@ class Slurmctld:
         self._request_schedule()
         return int(attempt["n"])
 
-    @staticmethod
-    def _reset_for_requeue(job: Job) -> None:
-        """Clear one lifecycle's runtime state (shared with replay)."""
-        job.state = JobState.PENDING
-        job.start_time = None
-        job.end_time = None
-        job.node = ""
-        job.node_list = ()
-        job.allocated_cores = ()
-        job.workload_handle = None
-        job.workload_handles = {}
-        job.exit_code = 0
-        job.stdout = ""
-        job.energy_start_j = 0.0
-        job.energy_end_j = 0.0
-        job.pending_reason = "None"
-
     # ------------------------------------------------------------------
     # control operations
     # ------------------------------------------------------------------
@@ -1306,10 +1071,8 @@ class Slurmctld:
         self._slurmd(hostname)  # KeyError on unknown node
         if hostname in self._drained:
             return
-        self._drained.add(hostname)
-        self.cluster_state.drain(hostname)
+        self._commit("drain", {"hostname": hostname})
         self.log.append(f"[{self.sim.now:.1f}] node {hostname} drained")
-        self._journal("drain", {"hostname": hostname})
 
     def resume_node(self, hostname: str) -> None:
         """Return a drained node to service and re-run the scheduler."""
@@ -1317,10 +1080,8 @@ class Slurmctld:
         self._slurmd(hostname)  # KeyError on unknown node
         if hostname not in self._drained:
             return
-        self._drained.discard(hostname)
-        self.cluster_state.resume(hostname)
+        self._commit("resume", {"hostname": hostname})
         self.log.append(f"[{self.sim.now:.1f}] node {hostname} resumed")
-        self._journal("resume", {"hostname": hostname})
         self._request_schedule()
 
     def cancel(self, job_id: int) -> None:
@@ -1332,40 +1093,26 @@ class Slurmctld:
         if job.state.is_terminal:
             return
         was_running = job.state is JobState.RUNNING
-        if job.state is JobState.PENDING:
-            self._pending.remove(job_id)
-        elif job.state is JobState.RUNNING:
+        energy_end = job.energy_end_j
+        if was_running:
             energy_end = 0.0
             for hostname in job.node_list:
                 slurmd = self._slurmd(hostname)
                 slurmd.node.stop_workload(job.workload_handles[hostname])
                 energy_end += slurmd.node.true_energy_joules
-            job.energy_end_j = energy_end
-            self._running.remove(job_id)
-            assert job.start_time is not None
-            self.cluster_state.on_job_finish(
-                job.node_list,
-                job.descriptor.tasks_per_node,
-                job.start_time + job.descriptor.time_limit_s,
-            )
-            ev = self._completion_events.pop(job_id, None)
-            if ev is not None:
-                ev.cancel()  # type: ignore[attr-defined]
-            self._completion_at.pop(job_id, None)
-        job.state = JobState.CANCELLED
-        job.end_time = self.sim.now
-        self.depgraph.remove(job_id)
-        self.accounting.upsert(job)
-        self.log.append(f"[{self.sim.now:.1f}] job {job_id} cancelled")
-        self._journal(
+        self._commit(
             "cancel",
             {
                 "job_id": job_id,
-                "end_time": job.end_time,
+                "end_time": self.sim.now,
                 "was_running": was_running,
-                "energy_end_j": job.energy_end_j,
+                "energy_end_j": energy_end,
             },
         )
+        ev = self._completion_events.pop(job_id, None)
+        if ev is not None:
+            ev.cancel()  # type: ignore[attr-defined]
+        self.log.append(f"[{self.sim.now:.1f}] job {job_id} cancelled")
         # anything waiting on the cancelled job settles now: afterany /
         # afternotok dependents release, afterok dependents cascade-cancel
         self._resolve_dependents_of(job_id)

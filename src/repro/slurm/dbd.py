@@ -6,6 +6,12 @@ daemon that *tails the state-save journal* and materializes accounting
 rows independently, so ``sacct`` history survives controller crashes and
 failovers without talking to the (possibly dead) leader.
 
+Each record goes through the controller's own job fold,
+:func:`repro.slurm.lifecycle.apply`, so the shadow job table equals the
+controller's job table row for row: descriptors as the eco plugin left
+them, pending reasons, attempts and joules.  The daemon adds only the
+accounting upsert for the records that settle a job.
+
 Delivery is **at-least-once**: the daemon keeps a cursor of the last
 journal sequence it applied, but crashes or re-reads can re-deliver
 records, and after a failover the new leader re-ships the suffix.  The
@@ -36,9 +42,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import telemetry
+from repro.slurm import lifecycle
 from repro.slurm.accounting import AccountingDatabase, record_from_job
-from repro.slurm.controller import Slurmctld, _job_from_dict, descriptor_from_dict
-from repro.slurm.job import Job, JobState
+from repro.slurm.job import Job
 from repro.slurm.statesave import JournalAnchor, JournalRecord, StateSave
 from repro.slurm.workflow import workflow_rollup
 
@@ -55,7 +61,7 @@ class SlurmDbd:
         self.db = db if db is not None else AccountingDatabase()
         #: last journal seq applied (exclusive lower bound for the tail)
         self.cursor = 0
-        #: shadow job table rebuilt from the event stream
+        #: shadow job table: the journal folded by repro.slurm.lifecycle
         self._jobs: dict[int, Job] = {}
         #: end of the last journal record read; None until a read finds one
         self._anchor: Optional[JournalAnchor] = None
@@ -118,7 +124,7 @@ class SlurmDbd:
         state = snap["state"]
         self.db.load_capture(state["accounting"])
         self._jobs = {
-            int(k): _job_from_dict(v) for k, v in state["jobs"].items()
+            int(k): lifecycle.job_from_dict(v) for k, v in state["jobs"].items()
         }
         self.cursor = int(snap["seq"])
         self.bootstraps += 1
@@ -138,113 +144,17 @@ class SlurmDbd:
 
     # ------------------------------------------------------------------
     def apply_event(self, rec: JournalRecord) -> None:
-        """Fold one journal record into the shadow state + accounting."""
-        data = rec.data
-        rtype = rec.type
+        """Fold one journal record into the shadow table + accounting.
+
+        Settling records upsert the job's row tagged ``(epoch, seq)``, so
+        a re-delivered record is dropped as a duplicate.
+        """
         self.events_applied += 1
         telemetry.counter("dbd_events_total").inc()
-        if rtype == "submit":
-            job_id = int(data["job_id"])
-            self._jobs[job_id] = Job(
-                job_id=job_id,
-                descriptor=descriptor_from_dict(data["descriptor"]),
-                submit_time=data["submit_time"],
-            )
-        elif rtype == "submit_array":
-            master_id = int(data["master_id"])
-            desc = descriptor_from_dict(data["descriptor"])
-            for offset, index in enumerate(data["indices"]):
-                job_id = master_id + offset
-                self._jobs[job_id] = Job(
-                    job_id=job_id,
-                    descriptor=desc,
-                    submit_time=data["submit_time"],
-                    array_job_id=master_id,
-                    array_task_id=int(index),
-                )
-        elif rtype == "submit_dep":
-            job_id = int(data["job_id"])
-            job = Job(
-                job_id=job_id,
-                descriptor=descriptor_from_dict(data["descriptor"]),
-                submit_time=data["submit_time"],
-            )
-            self._append_attempt(job, data["attempt"])
-            if data["deps"]:
-                job.pending_reason = "Dependency"
-            self._jobs[job_id] = job
-        elif rtype == "dep_release":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            job.descriptor = descriptor_from_dict(data["descriptor"])
-            self._append_attempt(job, data["attempt"])
-            job.pending_reason = "None"
-        elif rtype == "reschedule":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            job.descriptor = descriptor_from_dict(data["descriptor"])
-            self._append_attempt(job, data["attempt"])
-            Slurmctld._reset_for_requeue(job)
-        elif rtype == "start":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            job.state = JobState.RUNNING
-            job.start_time = data["start_time"]
-            job.node_list = tuple(data["node_list"])
-            job.node = job.node_list[0]
-            job.energy_start_j = data["energy_start_j"]
-        elif rtype == "start_failed":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            job.state = JobState.FAILED
-            job.exit_code = int(data["exit_code"])
-            job.end_time = data["end_time"]
-            job.stdout = data["stdout"]
-            self._upsert(job, rec)
-        elif rtype == "finish":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            job.end_time = data["end_time"]
-            job.energy_end_j = data["energy_end_j"]
-            job.state = JobState(data["state"])
-            job.exit_code = int(data["exit_code"])
-            job.stdout = data["stdout"]
-            self._upsert(job, rec)
-        elif rtype == "cancel":
-            job = self._jobs.get(int(data["job_id"]))
-            if job is None:
-                return
-            if data["was_running"]:
-                job.energy_end_j = data["energy_end_j"]
-            job.state = JobState.CANCELLED
-            job.end_time = data["end_time"]
-            if "reason" in data:
-                job.pending_reason = data["reason"]
-            self._upsert(job, rec)
-        # genesis / pass / drain / resume carry no accounting content
-
-    def _upsert(self, job: Job, rec: JournalRecord) -> None:
-        self.db.apply(record_from_job(job), epoch=rec.epoch, seq=rec.seq)
-
-    @staticmethod
-    def _append_attempt(job: Job, attempt: "Optional[dict]") -> None:
-        """Record one scheduling attempt, idempotent by attempt index.
-
-        The journal is at-least-once: a re-shipped suffix re-delivers
-        dep_release/reschedule records, and appending blindly would
-        inflate per-workflow attempt counts.  The attempt's ``n`` is the
-        lifecycle ordinal, so equality there means "already recorded".
-        """
-        if attempt is None:
-            return
-        if any(a.get("n") == attempt.get("n") for a in job.attempts):
-            return
-        job.attempts.append(dict(attempt))
+        jobs = lifecycle.apply(self._jobs, rec.type, rec.data)
+        if rec.type in lifecycle.SETTLING:
+            for job in jobs:
+                self.db.apply(record_from_job(job), epoch=rec.epoch, seq=rec.seq)
 
     # ------------------------------------------------------------------
     def workflows(self) -> "dict[str, dict]":

@@ -7,7 +7,6 @@ from repro.slurm.plugins.base import (
     PluginChain,
     PluginInvocation,
 )
-from repro.slurm.plugins.chash import simple_hash
 from repro.slurm.plugins.eco import JobSubmitEco, ChronusConfigProvider
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "JobSubmitPlugin",
     "PluginChain",
     "PluginInvocation",
-    "simple_hash",
     "JobSubmitEco",
     "ChronusConfigProvider",
 ]

@@ -55,7 +55,7 @@ from repro.serving.protocol import (
 )
 from repro.slurm.job import JobDescriptor
 from repro.slurm.plugins.base import SLURM_SUCCESS, JobSubmitPlugin
-from repro.slurm.plugins.chash import simple_hash
+from repro.core.domain.chash import simple_hash
 
 __all__ = [
     "PluginState",

@@ -9,7 +9,6 @@ import os
 
 import pytest
 
-import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
 from repro.api.auth import SCOPES, TokenAuthority, scope_allows
 from repro.api.errors import (
     ERROR_TABLE,

@@ -1,5 +1,7 @@
 """Repository contract tests — one suite, all three implementations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.domain.benchmark import BenchmarkResult
@@ -118,15 +120,10 @@ class TestModels:
 
     def test_save_and_get(self, repo):
         sid = repo.save_system(SYSTEM)
-        mid = repo.next_model_id()
+        meta = self.meta(0, sid)
+        mid = repo.save_model_metadata(meta)
         assert mid == 1
-        repo.save_model_metadata(self.meta(mid, sid))
-        assert repo.get_model_metadata(mid) == self.meta(mid, sid)
-
-    def test_next_model_id_advances(self, repo):
-        sid = repo.save_system(SYSTEM)
-        repo.save_model_metadata(self.meta(repo.next_model_id(), sid))
-        assert repo.next_model_id() == 2
+        assert repo.get_model_metadata(mid) == replace(meta, model_id=mid)
 
     def test_list_models_ordered(self, repo):
         sid = repo.save_system(SYSTEM)

@@ -161,7 +161,7 @@ class TestPerBinaryDispatch:
 
     def test_binary_alias_roundtrip(self, dual_app):
         from repro.core.domain.settings import ChronusSettings
-        from repro.slurm.plugins.chash import simple_hash
+        from repro.core.domain.chash import simple_hash
 
         _, app = dual_app
         settings = app.local_storage.load()

@@ -416,19 +416,6 @@ class TestConcurrentIdAssignment:
         assert len(set(ids)) == 40, "duplicate model ids were handed out"
         assert len(repo.list_models()) == 40
 
-    def test_next_model_id_is_only_a_hint(self, tmp_path):
-        repo = SqliteRepository(str(tmp_path / "data.db"))
-        hint = repo.next_model_id()
-        meta = ModelRecord(
-            model_id=0, model_type="t", system_id=1, application="hpcg",
-            blob_path="/b.json", created_at=0.0, training_points=1,
-        )
-        assigned = repo.save_model_metadata(meta)
-        # the save assigned the id itself; the earlier hint happens to
-        # match only because nothing raced — callers must use the return
-        assert assigned == hint
-        assert repo.get_model_metadata(assigned).blob_path == "/b.json"
-
 
 class TestSettingsMutateRace:
     def test_threaded_mutations_lose_nothing(self, tmp_path):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import pytest
 
-import repro.core  # noqa: F401  (resolves the repro.slurm import cycle)
 from repro.api.auth import TokenAuthority
 from repro.restd.gateway import RestGateway
 from repro.restd.server import RestdServer

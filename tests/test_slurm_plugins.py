@@ -13,7 +13,7 @@ from repro.slurm.plugins.base import (
     JobSubmitPlugin,
     PluginChain,
 )
-from repro.slurm.plugins.chash import simple_hash
+from repro.core.domain.chash import simple_hash
 from repro.slurm.plugins.eco import JobSubmitEco, PluginState, system_hash_from_node
 
 

@@ -9,19 +9,24 @@ ended.  The digests are captured via the ``on_append`` observer hook
 during the uninterrupted run, so the comparison covers every crash
 offset, not just the final one.
 
+:class:`TestJournalFixture` pins the on-disk formats: a state-save
+directory checked in under ``tests/fixtures/statesave_v1`` must keep
+restoring to the digest and joules recorded when it was written.
+
 :class:`TestDbdTail` holds the reader's side: a slurmdbd that tails the
-journal from its anchor ends every pump where a fresh full scan would.
+journal from its anchor ends every pump where a fresh full scan would,
+and its shadow job table equals the controller's.
 """
 
 import json
 import os
+import shutil
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import faults
-from repro.api.types import JobInfo
 from repro.core.domain.errors import (
     ControllerCrashError,
     JournalCorruptError,
@@ -32,6 +37,7 @@ from repro.slurm.config import SlurmConfig
 from repro.slurm.controller import Slurmctld
 from repro.slurm.dbd import SlurmDbd
 from repro.slurm.job import JobDescriptor
+from repro.slurm.lifecycle import job_to_dict
 from repro.slurm.statesave import (
     JournalRecord,
     StateSave,
@@ -369,6 +375,100 @@ class TestReplayInvariant:
 
 
 # ----------------------------------------------------------------------
+# the journal and snapshot formats, frozen in a checked-in directory
+# ----------------------------------------------------------------------
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "statesave_v1")
+
+RECORD_TYPES = {
+    "genesis", "submit", "submit_array", "submit_dep", "dep_release",
+    "reschedule", "pass", "start", "start_failed", "finish", "cancel",
+    "drain", "resume",
+}
+
+
+def _table(jobs) -> dict:
+    """A job table, every field of every row."""
+    return {job_id: job_to_dict(job) for job_id, job in jobs.items()}
+
+
+class TestJournalFixture:
+    """Restore what ``tests/fixtures/statesave_v1/make_fixture.py`` wrote.
+
+    A format change consistent with itself passes the replay property
+    test above; it fails here.
+    """
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        with open(os.path.join(FIXTURE, "expected.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)
+        path = str(tmp_path / "state")
+        shutil.copytree(os.path.join(FIXTURE, "state"), path)
+        return path, expected
+
+    @staticmethod
+    def _restore(ss: StateSave) -> Slurmctld:
+        # the cluster shape make_fixture.py wrote the directory with
+        cluster = SimCluster(
+            n_nodes=2, hpcg_duration_s=120.0,
+            config=SlurmConfig(reschedule_retries=1),
+        )
+        return Slurmctld.restore(
+            cluster.sim, cluster.ctld.config, cluster.ctld.nodes, ss,
+            attach=False,
+        )
+
+    def test_fixture_holds_every_record_type_and_a_suffix(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        records = ss.read_records()
+        assert {rec.type for rec in records} == RECORD_TYPES
+        assert len(records) == expected["records"]
+        assert 0 < ss.latest_snapshot_seq() == expected["snapshot_seq"] < len(records)
+        ss.close()
+
+    def test_snapshot_plus_suffix_restores_the_recorded_digest(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        restored = self._restore(ss)
+        assert restored.last_restore_replayed == (
+            expected["records"] - expected["snapshot_seq"]
+        )
+        assert restored.state_digest() == expected["state_digest"]
+        ss.close()
+
+    def test_journal_alone_restores_the_recorded_digest(self, saved):
+        path, expected = saved
+        for name in os.listdir(path):
+            if name.startswith("snapshot-"):
+                os.remove(os.path.join(path, name))
+        ss = StateSave(path, fsync=False)
+        restored = self._restore(ss)
+        assert restored.last_restore_replayed == expected["records"]
+        assert restored.state_digest() == expected["state_digest"]
+        ss.close()
+
+    def test_fresh_dbd_bills_the_recorded_joules(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        dbd = SlurmDbd(ss)
+        assert dbd.pump() == expected["records"]
+        assert dbd.db.total_energy_j() == expected["dbd_total_energy_j"]
+        # every job is terminal, so restore re-launches nothing and the
+        # tables match field for field, workload handles included
+        assert _table(dbd.jobs()) == _table(self._restore(ss).jobs)
+        # a dbd that starts after compaction reads the snapshot format
+        assert ss.compact() == expected["snapshot_seq"]
+        late = SlurmDbd(ss)
+        late.pump()
+        assert late.bootstraps == 1
+        assert late.db.total_energy_j() == expected["dbd_total_energy_j"]
+        assert _table(late.jobs()) == _table(dbd.jobs())
+        ss.close()
+
+
+# ----------------------------------------------------------------------
 # the dbd tail is a full scan, paid for by the new records only
 # ----------------------------------------------------------------------
 
@@ -384,18 +484,8 @@ dbd_ops_strategy = st.lists(
 
 
 def _dbd_view(dbd: SlurmDbd):
-    """Cursor, rows, joules and the shadow job table as REST serves it.
-
-    The table is compared through :class:`JobInfo`: a dbd that bootstraps
-    from a snapshot also carries controller-only fields (workload handles,
-    scheduler pending reasons) that the journal fold never sets.
-    """
-    return (
-        dbd.cursor,
-        dbd.db.all(),
-        dbd.db.total_energy_j(),
-        {job_id: JobInfo.from_job(job) for job_id, job in dbd.jobs().items()},
-    )
+    """Cursor, rows, joules and the full shadow job table."""
+    return (dbd.cursor, dbd.db.all(), dbd.db.total_energy_j(), _table(dbd.jobs()))
 
 
 def _torn_append(ss: StateSave) -> None:
@@ -426,11 +516,28 @@ class _TailHarness:
         self.steady_since[len(self.dbds) - 1] = None
 
     def work(self, size: int) -> None:
+        """A job, a throttled array and an ``afterok`` dependent, then
+        20 s of simulation: every job record type but the failures."""
         self.jobs += 1
-        self.cluster.ctld.submit(
+        ctld = self.cluster.ctld
+        first = ctld.submit(
             JobDescriptor(
                 name=f"tail-{self.jobs}", num_tasks=1 + size % 32,
                 binary=HPCG_BINARY, time_limit_s=600,
+            )
+        )
+        ctld.submit(
+            JobDescriptor(
+                name=f"tail-{self.jobs}-array", num_tasks=1 + size % 8,
+                binary=HPCG_BINARY, time_limit_s=600,
+                array=(0, 1, 2), array_limit=1,
+            )
+        )
+        ctld.submit(
+            JobDescriptor(
+                name=f"tail-{self.jobs}-after", num_tasks=1 + size % 16,
+                binary=HPCG_BINARY, time_limit_s=600,
+                dependency=(("afterok", first),),
             )
         )
         self.cluster.sim.run(until=self.cluster.sim.now + 20.0)
@@ -498,9 +605,11 @@ class TestDbdTail:
                     getattr(harness, op)()
             harness.cluster.sim.run()
             harness.pump()
-            assert harness.dbds[-1].db.total_energy_j() == pytest.approx(
+            dbd = harness.dbds[-1]
+            assert dbd.db.total_energy_j() == (
                 harness.cluster.accounting.total_energy_j()
             )
+            assert _table(dbd.jobs()) == _table(harness.cluster.ctld.jobs)
         finally:
             harness.ss.close()
 
