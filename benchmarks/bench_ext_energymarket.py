@@ -27,7 +27,7 @@ def run_extension_suite(rows):
                 (deadline_min, cfg, row.gflops_per_watt,
                  selector.predicted_runtime_s(row) / 60.0)
             )
-        except Exception as exc:
+        except Exception:
             deadline_rows.append((deadline_min, None, 0.0, 0.0))
 
     # (b) time shifting on price and carbon

@@ -54,6 +54,60 @@ def _used_names(tree: ast.AST) -> set[str]:
     return used
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _local_bindings(func: ast.AST) -> "list[tuple[int, str]]":
+    """``(line, name)`` for each plain, annotated, ``with ... as`` and
+    ``except ... as`` binding in ``func``'s own scope.
+
+    Nested functions are checked as scopes of their own and class bodies
+    bind attributes, not locals, so neither is entered; tuple unpacking
+    and loop targets are not reported, as in pyflakes.
+    """
+    found: list[tuple[int, str]] = []
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        elif isinstance(node, ast.withitem):
+            targets = [node.optional_vars]
+        else:
+            targets = []
+        for target in targets:
+            if isinstance(target, ast.Name):
+                found.append((target.lineno, target.id))
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            found.append((node.lineno, node.name))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unused_locals(path: Path, tree: ast.Module) -> list[str]:
+    problems: list[str] = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read: set[str] = set()
+        declared: set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        if "locals" in read:
+            continue  # every local may be read through locals()
+        for line, name in sorted(_local_bindings(func)):
+            if not (name.startswith("_") or name in read or name in declared):
+                problems.append(f"{path}:{line}: local {name!r} is assigned to but never used (F841)")
+    return problems
+
+
 def check_file(path: Path) -> list[str]:
     source = path.read_text()
     try:
@@ -79,6 +133,7 @@ def check_file(path: Path) -> list[str]:
                 if reexport_ok or (alias.asname and alias.asname == alias.name):
                     continue  # explicit re-export idiom
                 problems.append(f"{path}:{node.lineno}: unused import {bound!r} (F401)")
+    problems.extend(_unused_locals(path, tree))
     return problems
 
 

@@ -44,10 +44,10 @@ __all__ = [
 class PredictionProvider(Protocol):
     """The typed prediction port (wire protocol ``chronus/2``).
 
-    Everything that answers the eco plugin implements this one method:
-    the in-process :class:`~repro.serving.transport.LocalTransport`, the
-    Unix-socket client, the application itself, and the legacy adapter
-    wrapping pre-protocol ``slurm_config`` providers.  An unanswerable
+    The only way into the eco plugin: everything that answers it
+    implements this one method — the in-process
+    :class:`~repro.serving.transport.LocalTransport`, the Unix-socket
+    client, the shard router and the application itself.  An unanswerable
     request is an explicit :class:`~repro.serving.protocol.ErrorResponse`
     — implementations raise only for transport-level failures.
     """

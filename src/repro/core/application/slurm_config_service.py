@@ -315,7 +315,7 @@ class SlurmConfigService:
         *,
         min_perf: Optional[float] = None,
     ) -> str:
-        """The legacy plugin-facing entry point: JSON text out."""
+        """JSON text out: the ``chronus slurm-config`` CLI's output."""
         return self.run(system_id, binary_hash, min_perf=min_perf).to_json()
 
     # ------------------------------------------------------------------

@@ -495,7 +495,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server.start()
     print(
         f"chronus serve: listening on {socket_path} "
-        f"(chronus/2 + legacy plain-dict; batch<= {args.max_batch}, "
+        f"(chronus/2 JSON lines; batch<= {args.max_batch}, "
         f"wait {args.max_wait_ms} ms, queue {args.queue_limit})"
     )
     try:

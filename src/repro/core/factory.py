@@ -258,17 +258,6 @@ class ChronusApp:
     def clock(self) -> Callable[[], float]:
         return lambda: self.cluster.sim.now
 
-    def slurm_config(
-        self,
-        system_id: int | str,
-        binary_hash: int | str,
-        min_perf: float | None = None,
-    ) -> str:
-        """The legacy provider surface (JSON out); kept for v1 callers."""
-        return self.slurm_config_service.run_json(
-            system_id, binary_hash, min_perf=min_perf
-        )
-
     def predict(self, request):
         """The typed prediction port, served through the ChronusServer."""
         return self.server.predict(request)

@@ -48,7 +48,7 @@ SITES: Mapping[str, str] = {
     "ipmi.nan": "IPMI power sensor returns NaN",
     "ipmi.spike": "IPMI power sensor returns a 100x spike",
     "predict.timeout": "chronus predict (slurm-config) raises PredictTimeoutError",
-    "predict.garbage": "chronus predict returns a garbage JSON reply",
+    "predict.garbage": "chronus predict answers a garbage line the response decoder refuses",
     "serve.shed": "prediction server admission control sheds the request (SHED)",
     "serve.slow": "prediction server stalls one batch past the plugin budget",
     "sqlite.busy": "repository write raises sqlite3.OperationalError (locked)",

@@ -363,9 +363,8 @@ def run_storm_scenario(
     Chronus the breaker limits provider calls to roughly the failure
     threshold (plus half-open probes) instead of one timeout per job.
     """
-    import json
-
     from repro.resilience import CircuitBreaker
+    from repro.serving.protocol import PredictResponse
     from repro.slurm.cluster import SimCluster
     from repro.slurm.job import JobDescriptor
     from repro.slurm.plugins.base import SLURM_SUCCESS
@@ -377,14 +376,12 @@ def run_storm_scenario(
     class _Provider:
         calls = 0
 
-        def slurm_config(self, system_id, binary_hash, min_perf=None):
+        def predict(self, request):
             _Provider.calls += 1
-            return json.dumps(
-                {
-                    "cores": spec.total_cores,
-                    "threads_per_core": 1,
-                    "frequency": spec.frequencies_khz[1],
-                }
+            return PredictResponse(
+                cores=spec.total_cores,
+                threads_per_core=1,
+                frequency=spec.frequencies_khz[1],
             )
 
     faults.configure(profile, seed=seed)

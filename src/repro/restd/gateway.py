@@ -515,8 +515,7 @@ class RestGateway:
                 503, "NOT_CONFIGURED", "no prediction fleet behind this gateway"
             )
         data = self._json_body(request)
-        predict_request, _proto = decode_request_dict(data)
-        answer = self.predict_provider.predict(predict_request)
+        answer = self.predict_provider.predict(decode_request_dict(data))
         if isinstance(answer, ErrorResponse):
             status = http_status_for(answer.code)
             headers = {}

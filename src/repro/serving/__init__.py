@@ -7,13 +7,14 @@ an LRU model cache with pinning (:mod:`repro.serving.cache`), a
 micro-batching queue with admission control
 (:mod:`repro.serving.batching`), the :class:`ChronusServer` daemon tying
 them together (:mod:`repro.serving.server`), and two transports — an
-in-process provider and a Unix-socket JSON-lines protocol —
+in-process provider and ``chronus/2`` JSON lines over a Unix socket —
 (:mod:`repro.serving.transport`).
 
-Import note: the protocol/cache/batching primitives are dependency-free
-towards :mod:`repro.core` and are imported eagerly; the server and
-transports (which build on the application services) are exported lazily
-so ``repro.core`` modules can import the primitives without a cycle.
+Import note: the protocol/cache/batching primitives import nothing from
+:mod:`repro.core` beyond its domain errors and are imported eagerly; the
+server and transports (which build on the application services) are
+exported lazily so ``repro.core`` modules can import the primitives
+without a cycle.
 """
 
 from __future__ import annotations
@@ -21,31 +22,23 @@ from __future__ import annotations
 from repro.serving.batching import MicroBatcher
 from repro.serving.cache import ModelCache
 from repro.serving.protocol import (
-    PROTO_V1,
     PROTO_V2,
     SHED,
     ErrorResponse,
     PredictRequest,
     PredictResponse,
-    decode_request,
     decode_response,
-    encode_response,
     parse_config_fields,
-    parse_config_payload,
 )
 
 __all__ = [
-    "PROTO_V1",
     "PROTO_V2",
     "SHED",
     "PredictRequest",
     "PredictResponse",
     "ErrorResponse",
-    "decode_request",
     "decode_response",
-    "encode_response",
     "parse_config_fields",
-    "parse_config_payload",
     "ModelCache",
     "MicroBatcher",
     "ChronusServer",

@@ -9,12 +9,13 @@ responses are frozen dataclasses, and an error is always an explicit
 :class:`ErrorResponse` (a shed request is a ``SHED`` answer, never a
 silently dropped connection).
 
-Compatibility: version 1 "clients" are the pre-server callers that sent a
-plain ``{"system_id": .., "binary_hash": ..}`` dict and expected the bare
-configuration object back.  :func:`decode_request` still accepts that
-shape (emitting a :class:`DeprecationWarning`) and tags it ``chronus/1``
-so :func:`encode_response` can answer in the legacy shape — one handler
-serves both generations.
+One generation only: a request must name ``chronus/2`` in its ``proto``
+field.  A request without one, or naming another generation, is refused
+with an explicit ``INVALID`` answer — failing loudly beats guessing what
+the client meant.  :func:`handle_wire` is the one place a wire line
+becomes a :class:`PredictRequest`; the prediction server and the shard
+router both answer through it, each with its own control ops (an
+:class:`~repro.api.registry.OpRegistry`).
 
 Forward compatibility: ``from_dict`` tolerates unknown fields (a newer
 client may send more than we know about) but is strict about the types of
@@ -25,61 +26,36 @@ deep inside an optimizer.
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
+
+from repro import telemetry
+from repro.core.domain.errors import (
+    ChronusError,
+    ConfigValidationError,
+    ModelNotFoundError,
+    ProtocolError,
+    ServeShedError,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.registry import OpRegistry
 
 __all__ = [
-    "PROTO_V1",
     "PROTO_V2",
-    "V1_COMPAT_ENV",
-    "v1_compat_enabled",
     "SHED",
     "ERROR_CODES",
     "PredictRequest",
     "PredictResponse",
     "ErrorResponse",
     "parse_config_fields",
-    "parse_config_payload",
-    "decode_request",
     "decode_request_dict",
-    "encode_response",
     "decode_response",
+    "handle_wire",
 ]
 
-def _protocol_error(message: str) -> Exception:
-    # lazy: repro.core's package init transitively imports this module
-    # (through the eco plugin), so a module-level import of the domain
-    # errors would be circular whenever repro.serving is imported first
-    from repro.core.domain.errors import ProtocolError
-
-    return ProtocolError(message)
-
-
-def _validation_error(message: str) -> Exception:
-    from repro.core.domain.errors import ConfigValidationError
-
-    return ConfigValidationError(message)
-
-
-#: the implicit pre-protocol generation (plain dicts, no ``proto`` field)
-PROTO_V1 = "chronus/1"
-#: the current protocol generation
+#: the protocol generation every message carries in its ``proto`` field
 PROTO_V2 = "chronus/2"
-
-#: kill switch for chronus/1 plain-dict compatibility.  Defaults ON (any
-#: unset/other value keeps legacy clients working); operators set
-#: ``CHRONUS_PROTO_V1=0`` to refuse them ahead of the planned removal in
-#: the next major release.
-V1_COMPAT_ENV = "CHRONUS_PROTO_V1"
-
-
-def v1_compat_enabled() -> bool:
-    """Whether plain-dict chronus/1 requests are still accepted."""
-    return os.environ.get(V1_COMPAT_ENV, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 #: admission control rejected the request (queue full / shed fault);
 #: retryable by contract — the plugin's breaker/fallback handles it
@@ -97,19 +73,19 @@ ERROR_CODES = (
 def _require_str(data: Mapping[str, Any], key: str, default: str = "") -> str:
     value = data.get(key, default)
     if not isinstance(value, str):
-        raise _protocol_error(f"field {key!r} must be a string, got {value!r}")
+        raise ProtocolError(f"field {key!r} must be a string, got {value!r}")
     return value
 
 
 def _require_id(data: Mapping[str, Any], key: str, *, required: bool) -> "int | str":
     if key not in data:
         if required:
-            raise _protocol_error(f"request is missing required field {key!r}")
+            raise ProtocolError(f"request is missing required field {key!r}")
         return ""
     value = data[key]
     # bool is an int subclass; "system_id": true must not pass as 1
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _protocol_error(
+        raise ProtocolError(
             f"field {key!r} must be an integer or string, got {value!r}"
         )
     return value
@@ -118,44 +94,31 @@ def _require_id(data: Mapping[str, Any], key: str, *, required: bool) -> "int | 
 def parse_config_fields(data: Mapping[str, Any]) -> "tuple[int, int, int]":
     """Validate the ``(cores, threads_per_core, frequency)`` triple.
 
-    This is the single schema check for the configuration payload — the
-    eco plugin, the server and the transports all point here instead of
-    keeping their own copies.  Raises :class:`ConfigValidationError`
-    naming exactly what is wrong.
+    This is the single schema check for the configuration payload: every
+    answer decode (:meth:`PredictResponse.from_dict`, and through it
+    :func:`decode_response`) points here instead of keeping its own copy.
+    Raises :class:`ConfigValidationError` naming exactly what is wrong.
     """
     if not isinstance(data, Mapping):
-        raise _validation_error(
+        raise ConfigValidationError(
             f"config must be a JSON object, got {type(data).__name__}"
         )
     values = {}
     for key in ("cores", "threads_per_core", "frequency"):
         if key not in data:
-            raise _validation_error(f"config is missing required key {key!r}")
+            raise ConfigValidationError(f"config is missing required key {key!r}")
         value = data[key]
         # bool is an int subclass; "cores": true must not pass as 1
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _validation_error(
+            raise ConfigValidationError(
                 f"config key {key!r} must be a number, got {value!r}"
             )
         if isinstance(value, float) and not value.is_integer():
-            raise _validation_error(
+            raise ConfigValidationError(
                 f"config key {key!r} must be an integer, got {value!r}"
             )
         values[key] = int(value)
     return values["cores"], values["threads_per_core"], values["frequency"]
-
-
-def parse_config_payload(raw: "str | bytes") -> "tuple[int, int, int]":
-    """Parse + validate a raw JSON configuration payload (the v1 answer)."""
-    try:
-        data = json.loads(raw)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise _validation_error(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _validation_error(
-            f"config must be a JSON object, got {type(data).__name__}"
-        )
-    return parse_config_fields(data)
 
 
 @dataclass(frozen=True)
@@ -175,7 +138,7 @@ class PredictRequest:
 
     def __post_init__(self) -> None:
         if self.min_perf is not None and not 0.0 < self.min_perf <= 1.0:
-            raise _protocol_error(
+            raise ProtocolError(
                 f"min_perf must be in (0, 1], got {self.min_perf!r}"
             )
 
@@ -201,13 +164,13 @@ class PredictRequest:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PredictRequest":
         if not isinstance(data, Mapping):
-            raise _protocol_error(
+            raise ProtocolError(
                 f"request must be a JSON object, got {type(data).__name__}"
             )
         min_perf = data.get("min_perf")
         if min_perf is not None:
             if isinstance(min_perf, bool) or not isinstance(min_perf, (int, float)):
-                raise _protocol_error(
+                raise ProtocolError(
                     f"field 'min_perf' must be a number, got {min_perf!r}"
                 )
             min_perf = float(min_perf)
@@ -254,17 +217,6 @@ class PredictResponse:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def to_legacy_dict(self) -> dict[str, int]:
-        """The v1 answer shape (exactly ``Configuration.to_dict``)."""
-        return {
-            "cores": self.cores,
-            "threads_per_core": self.threads_per_core,
-            "frequency": self.frequency,
-        }
-
-    def to_legacy_json(self) -> str:
-        return json.dumps(self.to_legacy_dict())
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PredictResponse":
         cores, tpc, freq = parse_config_fields(data)
@@ -274,7 +226,7 @@ class PredictResponse:
         ):
             value = data.get(key, default)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise _protocol_error(
+                raise ProtocolError(
                     f"field {key!r} must be an integer, got {value!r}"
                 )
             ints[key] = value
@@ -316,12 +268,6 @@ class ErrorResponse:
 
     def to_error(self) -> Exception:
         """The exception a caller should raise on this answer."""
-        from repro.core.domain.errors import (
-            ChronusError,
-            ModelNotFoundError,
-            ServeShedError,
-        )
-
         detail = f"{self.code}: {self.message or 'prediction server error'}"
         if self.code == SHED:
             return ServeShedError(detail)
@@ -333,10 +279,10 @@ class ErrorResponse:
     def from_dict(cls, data: Mapping[str, Any]) -> "ErrorResponse":
         code = _require_str(data, "error")
         if not code:
-            raise _protocol_error("error response is missing its 'error' code")
+            raise ProtocolError("error response is missing its 'error' code")
         retryable = data.get("retryable", False)
         if not isinstance(retryable, bool):
-            raise _protocol_error(
+            raise ProtocolError(
                 f"field 'retryable' must be a boolean, got {retryable!r}"
             )
         return cls(
@@ -352,87 +298,72 @@ class ErrorResponse:
 
 
 # ---------------------------------------------------------------------------
-# wire negotiation: one handler, both client generations
+# the wire: one JSON object per message
 # ---------------------------------------------------------------------------
 def _loads_object(text: "str | bytes", what: str) -> dict:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, TypeError) as exc:
-        raise _protocol_error(f"{what} is not valid JSON: {exc}") from exc
+        raise ProtocolError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise _protocol_error(
+        raise ProtocolError(
             f"{what} must be a JSON object, got {type(data).__name__}"
         )
     return data
 
 
-def decode_request(text: "str | bytes") -> "tuple[PredictRequest, str]":
-    """Decode one wire request; returns ``(request, client_proto)``.
+def decode_request_dict(data: Any) -> PredictRequest:
+    """Decode one already-parsed wire request.
 
-    A dict without a ``proto`` field is a v1 plain-dict client: accepted,
-    tagged ``chronus/1``, and flagged with a :class:`DeprecationWarning`.
-    An unknown ``proto`` value is refused outright — failing loudly beats
-    guessing what a future protocol means.
-    """
-    return decode_request_dict(_loads_object(text, "request"))
-
-
-def decode_request_dict(data: Any) -> "tuple[PredictRequest, str]":
-    """:func:`decode_request` for an already-parsed payload.
-
-    The socket server parses each wire message exactly once (control-op
-    probe and request decode share the parse); this is the entry point
-    that keeps it a single pass.
+    Raises :class:`ProtocolError` unless ``data`` is a JSON object whose
+    ``proto`` is ``chronus/2`` — a request without the field is refused
+    like any other generation.  Taking the parsed payload keeps the
+    socket path a single parse: the control-op probe in
+    :func:`handle_wire` and the request decode share it.
     """
     if not isinstance(data, Mapping):
-        raise _protocol_error(
+        raise ProtocolError(
             f"request must be a JSON object, got {type(data).__name__}"
         )
     proto = data.get("proto")
-    if proto is None:
-        if not v1_compat_enabled():
-            raise _protocol_error(
-                "plain-dict chronus/1 requests are disabled on this server "
-                f"(CHRONUS_PROTO_V1=0); send {{'proto': '{PROTO_V2}', ...}}. "
-                "chronus/1 compatibility will be removed in the next major "
-                "release."
-            )
-        warnings.warn(
-            "plain-dict chronus/1 predict requests are deprecated and will "
-            "be removed in the next major release; send "
-            "{'proto': 'chronus/2', ...} (see repro.serving.protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PredictRequest.from_dict({**data, "proto": PROTO_V1}), PROTO_V1
     if proto != PROTO_V2:
-        raise _protocol_error(
-            f"unsupported protocol {proto!r}; this server speaks {PROTO_V2} "
-            f"(and legacy plain-dict {PROTO_V1})"
+        raise ProtocolError(
+            f"unsupported protocol {proto!r}; this server speaks only "
+            f"{PROTO_V2!r}"
         )
-    return PredictRequest.from_dict(data), PROTO_V2
-
-
-def encode_response(
-    result: "PredictResponse | ErrorResponse", client_proto: str
-) -> str:
-    """Encode an answer in the shape the client's generation expects.
-
-    v2 clients get the full typed object.  v1 clients get what they always
-    got: the bare configuration dict on success, ``{"error": ...}`` on
-    failure (the legacy callers treated any non-config answer as garbage
-    and fell back, which is still the correct contract).
-    """
-    if client_proto == PROTO_V1:
-        if isinstance(result, PredictResponse):
-            return result.to_legacy_json()
-        return json.dumps({"error": result.code, "message": result.message})
-    return result.to_json()
+    return PredictRequest.from_dict(data)
 
 
 def decode_response(text: "str | bytes") -> "PredictResponse | ErrorResponse":
-    """Decode a v2 wire answer into its typed form."""
+    """Decode a wire answer into its typed form."""
     data = _loads_object(text, "response")
     if "error" in data:
         return ErrorResponse.from_dict(data)
     return PredictResponse.from_dict(data)
+
+
+def handle_wire(target: Any, ops: "OpRegistry", line: "str | bytes") -> str:
+    """Answer one wire message for ``target``; always returns a JSON line.
+
+    ``target`` is a prediction server or a shard router: anything with a
+    ``predict(PredictRequest)`` method.  Control operations
+    (``{"op": ...}``) dispatch through ``ops``; everything else is
+    decoded as a ``chronus/2`` request and answered by ``target``.  A
+    message that does not decode gets an explicit ``INVALID``
+    :class:`ErrorResponse`, never a dropped connection.
+    """
+    try:
+        data = json.loads(line)
+    except (ValueError, TypeError) as exc:  # bad JSON or bad UTF-8
+        telemetry.counter("serve_protocol_errors_total").inc()
+        return ErrorResponse(
+            code="INVALID", message=f"request is not valid JSON: {exc}"
+        ).to_json()
+    if isinstance(data, dict) and "op" in data:
+        return ops.dispatch(target, data)
+    try:
+        request = decode_request_dict(data)
+    except ProtocolError as exc:
+        telemetry.counter("serve_protocol_errors_total").inc()
+        return ErrorResponse(code="INVALID", message=str(exc)).to_json()
+    return target.predict(request).to_json()

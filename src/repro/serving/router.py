@@ -26,24 +26,23 @@ holds the right model hot.  The router owns that placement:
 The router speaks the same duck-typed contract ``UnixSocketServer``
 expects of a ``ChronusServer`` (``handle_wire`` + ``shutdown_requested``),
 so a fleet front is just ``UnixSocketServer(ShardRouter(...), path)`` —
-transports, framing and protocol negotiation are all reused unchanged.
+the transport and the wire decode
+(:func:`repro.serving.protocol.handle_wire`) are reused unchanged.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Callable, Optional, Union
 
 from repro import telemetry
 from repro.api.registry import OpRegistry
 from repro.core.domain.errors import ProtocolError
+from repro.serving import protocol
 from repro.serving.protocol import (
     ErrorResponse,
     PredictRequest,
     PredictResponse,
-    decode_request_dict,
-    encode_response,
 )
 from repro.core.domain.chash import simple_hash
 
@@ -380,21 +379,7 @@ class ShardRouter:
         the aggregated stats; ``ping``/``shutdown`` are handled at the
         router (a fleet ping must not depend on any one worker).
         """
-        try:
-            data = json.loads(line)
-        except (json.JSONDecodeError, TypeError) as exc:
-            telemetry.counter("serve_protocol_errors_total").inc()
-            return ErrorResponse(
-                code="INVALID", message=f"request is not valid JSON: {exc}"
-            ).to_json()
-        if isinstance(data, dict) and "op" in data:
-            return ROUTER_OPS.dispatch(self, data)
-        try:
-            request, client_proto = decode_request_dict(data)
-        except ProtocolError as exc:
-            telemetry.counter("serve_protocol_errors_total").inc()
-            return ErrorResponse(code="INVALID", message=str(exc)).to_json()
-        return encode_response(self.predict(request), client_proto)
+        return protocol.handle_wire(self, ROUTER_OPS, line)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ module is the serving layer that promise scales through:
 * admission control answers overload with an explicit ``SHED``
   :class:`~repro.serving.protocol.ErrorResponse`, engaging the plugin's
   breaker + no-op fallback instead of stalling slurmctld;
-* one :meth:`handle_wire` entry point serves both ``chronus/2`` typed
-  clients and legacy plain-dict (v1) clients, so the transports —
+* one :meth:`handle_wire` entry point answers ``chronus/2`` wire lines
+  through :func:`repro.serving.protocol.handle_wire`, so the transports —
   in-process :class:`~repro.serving.transport.LocalTransport` and the
   Unix-socket daemon — share every code path above.
 
@@ -27,7 +27,6 @@ Fault sites: ``serve.shed`` forces admission control to reject a request
 from __future__ import annotations
 
 import functools
-import json
 import threading
 import time
 from typing import Callable, List, Optional, Sequence, Union
@@ -37,6 +36,7 @@ from repro.api.registry import OpRegistry
 from repro.core.application.load_model_service import LoadModelService
 from repro.core.application.slurm_config_service import SlurmConfigService
 from repro.core.domain.errors import ProtocolError
+from repro.serving import protocol
 from repro.serving.batching import MicroBatcher
 from repro.serving.cache import ModelCache
 from repro.serving.protocol import (
@@ -44,8 +44,6 @@ from repro.serving.protocol import (
     ErrorResponse,
     PredictRequest,
     PredictResponse,
-    decode_request_dict,
-    encode_response,
 )
 
 __all__ = ["ChronusServer", "SERVER_OPS"]
@@ -155,33 +153,16 @@ class ChronusServer:
         return self.batcher.submit(request)
 
     # ------------------------------------------------------------------
-    # wire entry point (both client generations + control ops)
+    # wire entry point (chronus/2 requests + control ops)
     # ------------------------------------------------------------------
     def handle_wire(self, line: "str | bytes") -> str:
         """Answer one wire message; always returns a JSON line.
 
         Control operations (``{"op": "ping"}``, ``{"op": "shutdown"}``)
-        are answered inline; everything else is decoded through the
-        protocol negotiation and served, with every failure an explicit
-        :class:`ErrorResponse` in the client's own dialect.
+        are answered inline from :data:`SERVER_OPS`; everything else is
+        decoded as a ``chronus/2`` request and served.
         """
-        try:
-            data = json.loads(line)
-        except (json.JSONDecodeError, TypeError) as exc:
-            telemetry.counter("serve_protocol_errors_total").inc()
-            return ErrorResponse(
-                code="INVALID", message=f"request is not valid JSON: {exc}"
-            ).to_json()
-        if isinstance(data, dict) and "op" in data:
-            return SERVER_OPS.dispatch(self, data)
-        try:
-            # the probe above is the only parse: control dispatch and
-            # request decode share it (no bytes -> str -> dict round-trip)
-            request, client_proto = decode_request_dict(data)
-        except ProtocolError as exc:
-            telemetry.counter("serve_protocol_errors_total").inc()
-            return ErrorResponse(code="INVALID", message=str(exc)).to_json()
-        return encode_response(self.predict(request), client_proto)
+        return protocol.handle_wire(self, SERVER_OPS, line)
 
 
 def _handle_batch(

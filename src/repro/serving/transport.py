@@ -8,30 +8,23 @@ Two implementations behind the same handler:
   default: tier-1 tests stay hermetic (no sockets, no daemon, and —
   until ``server.start()`` — no threads), yet exercise the exact
   admission/batching/protocol path production traffic takes.
-* :class:`UnixSocketTransport` / :class:`UnixSocketServer` — a JSON-lines
-  protocol over a Unix domain socket, one request per line, one answer
-  per line.  ``chronus serve`` runs the daemon side; the client side is
-  what a real C plugin (or a remote head node) would link against.
+* :class:`UnixSocketTransport` / :class:`UnixSocketServer` — ``chronus/2``
+  JSON lines over a Unix domain socket, one request per ``\\n``-terminated
+  line, one answer per line.  ``chronus serve`` runs the daemon side; the
+  client side is what a real C plugin (or a remote head node) would link
+  against.
 
 A transport never interprets predictions; it moves messages.  All
-protocol negotiation happens in :meth:`ChronusServer.handle_wire`, so a
-v1 client over the socket gets the same compatibility answer as one
-in-process.
+decoding happens in :meth:`ChronusServer.handle_wire`, so a client over
+the socket gets the same answer as one in-process.
 
-Wire framings (auto-detected per message, mixable on one connection):
-
-* **JSON lines** — one request per ``\\n``-terminated line, the legacy
-  framing every existing client speaks.
-* **Length-prefixed** — a 4-byte big-endian payload length, then the
-  payload.  Frames are capped just under 16 MiB (``2**24 - 1``), so a
-  valid frame always starts with a ``0x00`` byte — which no JSON text
-  can — making the two framings unambiguous.  The server answers in
-  whichever framing the request used.
-
-The daemon reads either framing through one reused per-connection
-buffer (``recv_into``, no ``makefile`` layer): a request is sliced out
-of the buffer and handed to ``json.loads`` as UTF-8 bytes — no
-per-request bytes→str decode round-trip.
+The daemon reads lines through one reused per-connection buffer
+(``recv_into``, no ``makefile`` layer): a request is sliced out of the
+buffer and handed to ``json.loads`` as UTF-8 bytes — no per-request
+bytes→str decode round-trip.  A line may be at most
+:data:`MAX_LINE_BYTES` long, newline included; past that the daemon
+answers ``INVALID`` and hangs up, so a client that never sends a newline
+cannot grow the buffer without bound.
 """
 
 from __future__ import annotations
@@ -58,27 +51,13 @@ __all__ = [
     "SocketDaemon",
     "UnixSocketServer",
     "UnixSocketTransport",
-    "MAX_FRAME_BYTES",
+    "MAX_LINE_BYTES",
 ]
 
 Answer = Union[PredictResponse, ErrorResponse]
 
-#: hard cap on one length-prefixed frame; also what makes the framing
-#: self-describing — any length below 2**24 encodes with a 0x00 first
-#: byte, which no JSON text can start with
-MAX_FRAME_BYTES = (1 << 24) - 1
-
-_SEPARATORS = frozenset(b" \t\r\n")
-
-
-def encode_frame(payload: "str | bytes") -> bytes:
-    """One length-prefixed wire frame: ``u32 big-endian length + payload``."""
-    data = payload.encode("utf-8") if isinstance(payload, str) else payload
-    if len(data) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES} cap"
-        )
-    return len(data).to_bytes(4, "big") + data
+#: hard cap on one request line, newline included (16 MiB)
+MAX_LINE_BYTES = 1 << 24
 
 
 class _ConnReader:
@@ -108,6 +87,11 @@ class _ConnReader:
                 remaining = self._end - self._start
                 self._buf[:remaining] = self._buf[self._start : self._end]
                 self._start, self._end = 0, remaining
+            elif len(self._buf) >= MAX_LINE_BYTES:
+                raise ProtocolError(
+                    f"request line exceeds the {MAX_LINE_BYTES}-byte cap "
+                    "without a newline"
+                )
             else:
                 # one message larger than the buffer: double it (the
                 # bigger buffer is then reused for the rest of the
@@ -120,53 +104,25 @@ class _ConnReader:
         self._end += received
         return True
 
-    def _read_framed(self) -> "bytes | None":
-        available = self._end - self._start
-        if available < 4:
-            return None
-        length = int.from_bytes(self._buf[self._start : self._start + 4], "big")
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap"
-            )
-        if available < 4 + length:
-            return None
-        payload = bytes(
-            memoryview(self._buf)[self._start + 4 : self._start + 4 + length]
-        )
-        self._start += 4 + length
-        return payload
-
-    def next_message(self) -> "tuple[bytes, bool] | None":
-        """The next complete ``(payload, framed)`` message; None on EOF."""
+    def next_message(self) -> "bytes | None":
+        """The next complete non-blank line, stripped; None on EOF."""
         while True:
-            while self._start < self._end and self._buf[self._start] in _SEPARATORS:
-                self._start += 1
-            if self._start < self._end:
-                if self._buf[self._start] == 0x00:
-                    payload = self._read_framed()
-                    if payload is not None:
-                        return payload, True
-                else:
-                    newline = self._buf.find(b"\n", self._start, self._end)
-                    if newline >= 0:
-                        payload = bytes(
-                            memoryview(self._buf)[self._start : newline]
-                        ).strip()
-                        self._start = newline + 1
-                        if payload:
-                            return payload, False
-                        continue
+            newline = self._buf.find(b"\n", self._start, self._end)
+            if newline >= 0:
+                payload = bytes(
+                    memoryview(self._buf)[self._start : newline]
+                ).strip()
+                self._start = newline + 1
+                if payload:
+                    return payload
+                continue
             if not self._fill():
                 # EOF with an unterminated trailing line: still a message
-                if self._start < self._end and self._buf[self._start] != 0x00:
-                    payload = bytes(
-                        memoryview(self._buf)[self._start : self._end]
-                    ).strip()
-                    self._start = self._end
-                    if payload:
-                        return payload, False
-                return None
+                payload = bytes(
+                    memoryview(self._buf)[self._start : self._end]
+                ).strip()
+                self._start = self._end
+                return payload or None
 
 
 class LocalTransport:
@@ -341,28 +297,19 @@ class UnixSocketServer(SocketDaemon):
                 reader = _ConnReader(conn)
                 while True:
                     try:
-                        message = reader.next_message()
+                        payload = reader.next_message()
                     except ProtocolError as exc:
-                        # an oversized frame poisons the stream; answer
+                        # an over-long line poisons the stream; answer
                         # and hang up rather than guess where it ends
                         telemetry.counter("serve_protocol_errors_total").inc()
-                        conn.sendall(
-                            encode_frame(
-                                ErrorResponse(
-                                    code="INVALID", message=str(exc)
-                                ).to_json()
-                            )
-                        )
+                        refusal = ErrorResponse(code="INVALID", message=str(exc))
+                        conn.sendall(refusal.to_json().encode("utf-8") + b"\n")
                         return
-                    if message is None:
+                    if payload is None:
                         return
-                    payload, framed = message
                     answer = self.server.handle_wire(payload)
                     self.requests_served += 1
-                    if framed:
-                        conn.sendall(encode_frame(answer))
-                    else:
-                        conn.sendall(answer.encode("utf-8") + b"\n")
+                    conn.sendall(answer.encode("utf-8") + b"\n")
                     if self.server.shutdown_requested.is_set():
                         return
                     if (
@@ -376,47 +323,24 @@ class UnixSocketServer(SocketDaemon):
 
 
 class UnixSocketTransport:
-    """Client side of the JSON-lines socket; a ``PredictionProvider``.
+    """Client side of the ``chronus/2`` JSON-lines socket; a
+    ``PredictionProvider``.
 
     Opens one connection per call — the plugin's calls are rare compared
     to the daemon's capacity, and a connection-per-predict client is what
     the C plugin would realistically be.
     """
 
-    def __init__(
-        self, socket_path: str, *, timeout_s: float = 5.0, framed: bool = False
-    ) -> None:
+    def __init__(self, socket_path: str, *, timeout_s: float = 5.0) -> None:
         self.socket_path = socket_path
         self.timeout_s = timeout_s
-        #: send length-prefixed frames instead of JSON lines; the server
-        #: auto-detects and answers in kind
-        self.framed = framed
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _recv_exact(sock: socket.socket, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = sock.recv(n - len(chunks))
-            if not chunk:
-                raise ProtocolError("server closed mid-frame")
-            chunks.extend(chunk)
-        return bytes(chunks)
-
     def _roundtrip(self, line: str) -> str:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(self.timeout_s)
         try:
             sock.connect(self.socket_path)
-            if self.framed:
-                sock.sendall(encode_frame(line))
-                header = self._recv_exact(sock, 4)
-                length = int.from_bytes(header, "big")
-                if length > MAX_FRAME_BYTES:
-                    raise ProtocolError(
-                        f"answer frame of {length} bytes exceeds the cap"
-                    )
-                return self._recv_exact(sock, length).decode("utf-8")
             with sock.makefile("rwb") as stream:
                 stream.write(line.encode("utf-8") + b"\n")
                 stream.flush()
@@ -434,7 +358,7 @@ class UnixSocketTransport:
         return decode_response(self._roundtrip(request.to_json()))
 
     def request_raw(self, line: str) -> str:
-        """Send a raw wire line (legacy-client tests, control ops)."""
+        """Send a raw wire line (control ops, protocol tests)."""
         return self._roundtrip(line)
 
     def ping(self) -> dict:

@@ -48,8 +48,8 @@ def record_from_job(job: Job) -> JobRecord:
 def _model_lineage(attempts: "list[dict]") -> "tuple[str, ...]":
     """Ordered unique ``"id:vN"`` labels across a job's attempts.
 
-    ``model_id == 0`` means no prediction was served for that attempt
-    (provider down, plugin deactivated, legacy provider) and is omitted.
+    ``model_id == 0`` means no registered model served that attempt
+    (provider down, plugin deactivated, pre-registry model) and is omitted.
     """
     labels: list[str] = []
     for attempt in attempts:

@@ -19,7 +19,7 @@ of the journal a second time, lands on the same table.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import fields as dataclass_fields, replace
 from typing import Optional
 
 from repro.slurm.job import Job, JobDescriptor, JobState
@@ -41,8 +41,13 @@ SETTLING = frozenset({"start_failed", "finish", "cancel"})
 # ----------------------------------------------------------------------
 # (de)serialization, shared by journal records and snapshots
 # ----------------------------------------------------------------------
+#: every field is an immutable scalar or a (nested) tuple of scalars, so
+#: a flat read equals ``dataclasses.asdict`` without its recursive copy
+_DESCRIPTOR_FIELDS = tuple(f.name for f in dataclass_fields(JobDescriptor))
+
+
 def descriptor_to_dict(desc: JobDescriptor) -> dict:
-    return asdict(desc)
+    return {name: getattr(desc, name) for name in _DESCRIPTOR_FIELDS}
 
 
 def descriptor_from_dict(data: dict) -> JobDescriptor:

@@ -7,7 +7,7 @@ from repro.slurm.plugins.base import (
     PluginChain,
     PluginInvocation,
 )
-from repro.slurm.plugins.eco import JobSubmitEco, ChronusConfigProvider
+from repro.slurm.plugins.eco import JobSubmitEco
 
 __all__ = [
     "SLURM_SUCCESS",
@@ -16,5 +16,4 @@ __all__ = [
     "PluginChain",
     "PluginInvocation",
     "JobSubmitEco",
-    "ChronusConfigProvider",
 ]

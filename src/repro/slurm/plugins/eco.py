@@ -12,11 +12,9 @@ Responsibilities (paper sections 3.1.1, 4.2):
    implementation hard-codes the binary path (limitation 6.1.2); we hash
    the descriptor's binary string, preserving the same contract.
 4. Ask Chronus for the energy-efficient configuration through the typed
-   prediction port (the ``PredictionProvider`` protocol: a frozen
-   ``PredictRequest`` in, a ``PredictResponse`` or explicit
-   ``ErrorResponse`` out); pre-protocol providers that still speak the
-   ``chronus slurm-config`` JSON surface are wrapped by
-   :class:`LegacyProviderAdapter`.
+   prediction port, the only way in: the ``PredictionProvider`` protocol,
+   a frozen ``PredictRequest`` in, a ``PredictResponse`` or explicit
+   ``ErrorResponse`` out.
 5. Rewrite the job descriptor: ``num_tasks``, ``threads_per_core`` and the
    ``--cpu-freq`` window.
 
@@ -37,7 +35,7 @@ cluster down.  Two resilience layers enforce that at scale:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.application.interfaces import PredictionProvider
@@ -50,8 +48,7 @@ from repro.serving.protocol import (
     ErrorResponse,
     PredictRequest,
     PredictResponse,
-    parse_config_fields,
-    parse_config_payload,
+    decode_response,
 )
 from repro.slurm.job import JobDescriptor
 from repro.slurm.plugins.base import SLURM_SUCCESS, JobSubmitPlugin
@@ -59,8 +56,6 @@ from repro.core.domain.chash import simple_hash
 
 __all__ = [
     "PluginState",
-    "ChronusConfigProvider",
-    "LegacyProviderAdapter",
     "JobSubmitEco",
     "system_hash_from_node",
     "parse_chronus_comment",
@@ -71,38 +66,6 @@ __all__ = [
 #: holds locks during job_submit; the real plugin must answer in far less
 #: than a scheduling cycle.
 DEFAULT_PREDICT_BUDGET_S = 0.1
-
-
-class ChronusConfigProvider(Protocol):
-    """The legacy (pre-protocol) ``chronus slurm-config`` call."""
-
-    def slurm_config(
-        self, system_id: int, binary_hash: int, min_perf: "float | None" = None
-    ) -> str:
-        """Return the energy-efficient configuration as a JSON string."""
-        ...
-
-
-class LegacyProviderAdapter:
-    """Adapts a v1 ``slurm_config`` provider to the typed prediction port.
-
-    The plugin itself now speaks :class:`PredictRequest` /
-    :class:`PredictResponse` (the ``chronus/2`` port declared in
-    :class:`repro.core.application.interfaces.PredictionProvider`); this
-    adapter keeps every pre-protocol provider — and every existing test
-    stub — working unchanged by parsing its raw JSON answer through the
-    protocol's validator.
-    """
-
-    def __init__(self, provider: ChronusConfigProvider) -> None:
-        self.legacy = provider
-
-    def predict(self, request: PredictRequest) -> PredictResponse:
-        raw = self.legacy.slurm_config(
-            request.system_id, request.binary_hash, request.min_perf
-        )
-        cores, tpc, freq = parse_config_payload(raw)
-        return PredictResponse(cores=cores, threads_per_core=tpc, frequency=freq)
 
 
 def parse_chronus_comment(comment: str) -> "tuple[bool, float | None]":
@@ -130,27 +93,21 @@ def parse_chronus_comment(comment: str) -> "tuple[bool, float | None]":
 
 
 def validate_chronus_config(
-    raw: "str | bytes | Mapping | PredictResponse", node: SimulatedNode
+    response: PredictResponse, node: SimulatedNode
 ) -> "tuple[int, int, int]":
     """Validate a prediction answer against this node's hardware.
 
     Returns ``(cores, threads_per_core, frequency)`` or raises
     :class:`ConfigValidationError` describing exactly what is wrong — a
     garbage answer must never reach the job descriptor.  The *schema*
-    half (keys present, numbers integral) is the protocol's own validator
-    (:func:`repro.serving.protocol.parse_config_payload`); this function
-    adds the half only the plugin can check — bounds come from the node
-    itself: requested cores cannot exceed the node's, SMT depth cannot
-    exceed the CPU's, and the frequency must sit inside the cpufreq
-    window the hardware advertises.  Accepts the raw v1 JSON string, a
-    decoded mapping, or a typed :class:`PredictResponse`.
+    half (keys present, numbers integral) already ran when the answer
+    was decoded (:func:`repro.serving.protocol.parse_config_fields`);
+    this function adds the half only the plugin can check — bounds come
+    from the node itself: requested cores cannot exceed the node's, SMT
+    depth cannot exceed the CPU's, and the frequency must sit inside the
+    cpufreq window the hardware advertises.
     """
-    if isinstance(raw, PredictResponse):
-        cores, tpc, freq = raw.cores, raw.threads_per_core, raw.frequency
-    elif isinstance(raw, Mapping):
-        cores, tpc, freq = parse_config_fields(raw)
-    else:
-        cores, tpc, freq = parse_config_payload(raw)
+    cores, tpc, freq = response.cores, response.threads_per_core, response.frequency
     if not 1 <= cores <= node.total_cores:
         raise ConfigValidationError(
             f"cores={cores} outside this node's range [1, {node.total_cores}]"
@@ -215,7 +172,7 @@ class JobSubmitEco(JobSubmitPlugin):
     def __init__(
         self,
         node: SimulatedNode,
-        provider: "PredictionProvider | ChronusConfigProvider",
+        provider: "PredictionProvider",
         state: Optional[PluginState] = None,
         *,
         log: Optional[Callable[[str], None]] = None,
@@ -224,11 +181,7 @@ class JobSubmitEco(JobSubmitPlugin):
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.node = node
-        # typed port with a compatibility on-ramp: anything without
-        # ``predict`` but with the old ``slurm_config`` surface is wrapped
-        if not hasattr(provider, "predict") and hasattr(provider, "slurm_config"):
-            provider = LegacyProviderAdapter(provider)
-        self.provider: "PredictionProvider" = provider
+        self.provider = provider
         self.state = state or PluginState()
         self._log = log or (lambda msg: None)
         self.predict_budget_s = predict_budget_s
@@ -240,8 +193,8 @@ class JobSubmitEco(JobSubmitPlugin):
         #: lifetime, and slurmctld cannot afford re-reading them per job
         self._system_hash: Optional[int] = None
         #: the typed response behind the *most recent* job_submit (None
-        #: when the plugin skipped, fell back, or the provider was legacy);
-        #: the controller reads this to stamp attempt provenance
+        #: when the plugin skipped or fell back); the controller reads
+        #: this to stamp attempt provenance
         self.last_served: Optional[PredictResponse] = None
 
     # ------------------------------------------------------------------
@@ -266,9 +219,7 @@ class JobSubmitEco(JobSubmitPlugin):
         # user mode: opt-in through the job comment
         return opted_in, min_perf
 
-    def _call_provider(
-        self, request: PredictRequest
-    ) -> "PredictResponse | str":
+    def _call_provider(self, request: PredictRequest) -> PredictResponse:
         """One prediction RPC, with the chaos hooks for a sick Chronus."""
         if faults.fire("predict.timeout"):
             raise PredictTimeoutError(
@@ -277,7 +228,8 @@ class JobSubmitEco(JobSubmitPlugin):
             )
         response = self.provider.predict(request)
         if faults.fire("predict.garbage"):
-            return '{"cores": "all of them"'
+            # a truncated answer line, through the socket client's decoder
+            response = decode_response('{"cores": "all of them"')
         if isinstance(response, ErrorResponse):
             # SHED and friends: an explicit refusal, never a silent drop —
             # raise so the breaker counts it and the no-op fallback runs
@@ -286,12 +238,11 @@ class JobSubmitEco(JobSubmitPlugin):
 
     def _predict(
         self, job_desc: JobDescriptor, min_perf: "float | None"
-    ) -> "tuple[tuple[int, int, int], PredictResponse | None]":
+    ) -> "tuple[tuple[int, int, int], PredictResponse]":
         """Breaker-guarded, deadline-bounded prediction + validation.
 
         Returns the validated configuration plus the typed response that
-        carried it (None when the provider answered in the legacy raw
-        shape), so callers can attribute the decision to the serving
+        carried it, so callers can attribute the decision to the serving
         model's registry identity.
         """
         if not self.breaker.allow():
@@ -308,17 +259,16 @@ class JobSubmitEco(JobSubmitPlugin):
                     min_perf=min_perf,
                     job_name=job_desc.name,
                 )
-                raw = deadline.run(
+                served = deadline.run(
                     lambda: self._call_provider(request),
                     op="eco.predict",
                 )
-                config = validate_chronus_config(raw, self.node)
+                config = validate_chronus_config(served, self.node)
             telemetry.histogram("eco_predict_seconds").observe(sp.duration_s)
         except Exception:
             self.breaker.record_failure()
             raise
         self.breaker.record_success()
-        served = raw if isinstance(raw, PredictResponse) else None
         return config, served
 
     # ------------------------------------------------------------------
@@ -349,18 +299,16 @@ class JobSubmitEco(JobSubmitPlugin):
         telemetry.counter("eco_applied_total").inc()
         self.last_served = served
         # attribute the decision to the registry identity that served it
-        # (0:v0 = legacy/pre-registry provider); the labeled counter lets
-        # an operator split applied decisions per model across a promotion
-        model_label = "0:v0"
-        if served is not None:
-            model_label = f"{served.model_id}:v{served.model_version}"
-            telemetry.log_event(
-                "eco.applied",
-                job=job_desc.name,
-                model_id=served.model_id,
-                model_version=served.model_version,
-                model_type=served.model_type,
-            )
+        # (0:v0 = pre-registry model); the labeled counter lets an
+        # operator split applied decisions per model across a promotion
+        model_label = f"{served.model_id}:v{served.model_version}"
+        telemetry.log_event(
+            "eco.applied",
+            job=job_desc.name,
+            model_id=served.model_id,
+            model_version=served.model_version,
+            model_type=served.model_type,
+        )
         telemetry.counter("eco_model_served_total", {"model": model_label}).inc()
         job_desc.num_tasks = cores
         job_desc.threads_per_core = tpc

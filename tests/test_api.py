@@ -240,34 +240,6 @@ class TestOpRegistry:
         assert ROUTER_OPS.ops() == ["fleet", "ping", "shutdown"]
 
 
-class TestV1CompatFlag:
-    def test_default_accepts_v1_with_warning(self, monkeypatch):
-        from repro.serving.protocol import PROTO_V1, decode_request_dict
-
-        monkeypatch.delenv("CHRONUS_PROTO_V1", raising=False)
-        with pytest.warns(DeprecationWarning, match="removed"):
-            request, proto = decode_request_dict(
-                {"system_id": 1, "binary_hash": "abc"}
-            )
-        assert proto == PROTO_V1
-
-    def test_disabled_refuses_v1_with_removal_note(self, monkeypatch):
-        from repro.serving.protocol import decode_request_dict
-
-        monkeypatch.setenv("CHRONUS_PROTO_V1", "0")
-        with pytest.raises(ProtocolError, match="removed in the next major"):
-            decode_request_dict({"system_id": 1, "binary_hash": "abc"})
-
-    def test_v2_unaffected_by_flag(self, monkeypatch):
-        from repro.serving.protocol import PROTO_V2, decode_request_dict
-
-        monkeypatch.setenv("CHRONUS_PROTO_V1", "0")
-        _, proto = decode_request_dict(
-            {"proto": PROTO_V2, "system_id": 1, "binary_hash": "abc"}
-        )
-        assert proto == PROTO_V2
-
-
 class TestApiTypes:
     def test_round_trip(self):
         req = JobSubmitRequest(name="j", binary="/bin/x", num_tasks=4)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro.core.cli.main import build_parser, main
+from repro.serving.protocol import PredictRequest, PredictResponse
+from repro.serving.transport import UnixSocketTransport
 
 
 @pytest.fixture
@@ -124,6 +128,49 @@ class TestLoadModelAndSlurmConfig:
         assert rc == 2
         assert "error[MODEL_NOT_FOUND]:" in out
         assert "load-model" in out
+
+
+class TestServeCommand:
+    def test_serve_answers_chronus2_lines_only(self, capsys, benchmarked):
+        rc, _ = run_cli(
+            capsys, benchmarked, "init-model", "--model", "brute-force", "--system", "1"
+        )
+        assert rc == 0
+        exit_codes = []
+        daemon = threading.Thread(
+            target=lambda: exit_codes.append(main([
+                "--workspace", benchmarked,
+                "serve", "--preload", "1", "--max-requests", "3",
+            ])),
+            daemon=True,
+        )
+        daemon.start()
+        client = UnixSocketTransport(
+            os.path.join(benchmarked, "chronus.sock"), timeout_s=5.0
+        )
+        request = PredictRequest(system_id=1, binary_hash=12345)
+        deadline = time.monotonic() + 30.0
+        while True:  # the socket appears once the model is preloaded
+            try:
+                answer = client.predict(request)
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "serve never bound its socket"
+                time.sleep(0.05)
+        assert isinstance(answer, PredictResponse)
+        assert (answer.cores, answer.frequency) == (32, 2_200_000)
+        refused = json.loads(
+            client.request_raw('{"system_id": 1, "binary_hash": 12345}')
+        )
+        assert refused["error"] == "INVALID"
+        assert client.shutdown()["ok"]
+        daemon.join(timeout=10.0)
+        assert not daemon.is_alive()
+        assert exit_codes == [0]
+        out = capsys.readouterr().out
+        assert "listening on" in out and "chronus/2" in out
+        assert "plain-dict" not in out
+        assert "exiting after 3 requests" in out
 
 
 class TestSetCommand:

@@ -178,5 +178,5 @@ class TestSqlitePersistenceAcrossApps:
         c2 = SimCluster(seed=2)
         app2 = ChronusApp(c2, ws)
         assert len(app2.repository.benchmarks_for_system(1, "hpcg")) == 4
-        cfg = json.loads(app2.slurm_config(1, 0))
+        cfg = json.loads(app2.slurm_config_service.run_json(1, 0))
         assert set(cfg) == {"cores", "threads_per_core", "frequency"}

@@ -510,6 +510,15 @@ class TestChronusRoutes:
         assert payload["conf_best"] == 7
         assert stack.provider.seen[0].system_id == 1
 
+    def test_predict_without_proto_is_invalid(self, stack):
+        status, _, payload = stack.call(
+            "POST", "/chronus/v1/predict", scope="read",
+            body={"system_id": 1, "binary_hash": "abc"},
+        )
+        assert status == 400
+        assert payload["error"] == "INVALID"
+        assert stack.provider.seen == []  # refused before the provider
+
     def test_predict_shed_maps_to_429_with_retry_after(self, stack):
         stack.provider.answer = ErrorResponse(
             "SHED", "queue full", retryable=True

@@ -3,8 +3,8 @@
 The acceptance bar from the serving redesign: a 200-job submit storm
 answered through the batching server must be *identical* to serial
 prediction, every overload answer must be an explicit ``SHED`` (never a
-silent drop), and one handler must serve both v1 plain-dict and v2 typed
-clients.
+silent drop), and the one wire handler must refuse, with an explicit
+``INVALID``, every request that does not name ``chronus/2``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.core.factory import ModelFactory
 from repro.core.repositories.memory_repository import MemoryRepository
 from repro.core.storage.etc_storage import EtcStorage
 from repro.serving import (
-    PROTO_V1,
     PROTO_V2,
     SHED,
     ErrorResponse,
@@ -45,12 +44,12 @@ from repro.serving import (
     ModelCache,
     PredictRequest,
     PredictResponse,
-    decode_request,
     decode_response,
-    encode_response,
 )
+from repro.serving.protocol import decode_request_dict
 from repro.serving.server import ChronusServer
 from repro.serving.transport import (
+    MAX_LINE_BYTES,
     LocalTransport,
     UnixSocketServer,
     UnixSocketTransport,
@@ -59,7 +58,6 @@ from repro.slurm.job import JobDescriptor
 from repro.slurm.plugins.base import SLURM_SUCCESS
 from repro.slurm.plugins.eco import (
     JobSubmitEco,
-    LegacyProviderAdapter,
     PluginState,
     validate_chronus_config,
 )
@@ -225,56 +223,33 @@ class TestProtocolRoundTrip:
 
 
 class TestProtocolNegotiation:
-    def test_v1_plain_dict_accepted_with_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="chronus/1"):
-            req, proto = decode_request('{"system_id": 1, "binary_hash": 2}')
-        assert proto == PROTO_V1
-        assert req.proto == PROTO_V1
-        assert (req.system_id, req.binary_hash) == (1, 2)
-
-    def test_v2_request_accepted_silently(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            req, proto = decode_request(
-                json.dumps({"proto": PROTO_V2, "system_id": 9})
-            )
-        assert proto == PROTO_V2
+    def test_v2_request_accepted(self):
+        req = decode_request_dict({"proto": PROTO_V2, "system_id": 9})
+        assert req.proto == PROTO_V2
         assert req.system_id == 9
 
-    def test_unknown_proto_refused(self):
+    @pytest.mark.parametrize(
+        "proto", [None, "chronus/1", "chronus/9"],
+        ids=["no-proto", "chronus-1", "chronus-9"],
+    )
+    def test_other_protos_refused(self, proto):
+        data = {"system_id": 1, "binary_hash": 2}
+        if proto is not None:
+            data["proto"] = proto
         with pytest.raises(ProtocolError, match="unsupported protocol"):
-            decode_request('{"proto": "chronus/9", "system_id": 1}')
+            decode_request_dict(data)
 
     def test_non_object_refused(self):
         with pytest.raises(ProtocolError):
-            decode_request("[1, 2, 3]")
+            decode_request_dict([1, 2, 3])
         with pytest.raises(ProtocolError):
-            decode_request("{truncated")
-
-    def test_v1_success_golden_shape(self):
-        """v1 clients get exactly what the legacy CLI printed: the bare
-        configuration object, no envelope."""
-        resp = PredictResponse(
-            cores=28, threads_per_core=1, frequency=2_200_000,
-            model_type="brute-force", batch_size=7,
-        )
-        wire = json.loads(encode_response(resp, PROTO_V1))
-        assert wire == {
-            "cores": 28, "threads_per_core": 1, "frequency": 2_200_000
-        }
-
-    def test_v1_error_golden_shape(self):
-        err = ErrorResponse(code=SHED, message="queue full", retryable=True)
-        wire = json.loads(encode_response(err, PROTO_V1))
-        assert wire == {"error": "SHED", "message": "queue full"}
+            PredictRequest.from_json("{truncated")
 
     def test_v2_answers_carry_proto(self):
         resp = PredictResponse(cores=4, threads_per_core=2, frequency=2_500_000)
-        assert json.loads(encode_response(resp, PROTO_V2))["proto"] == PROTO_V2
+        assert json.loads(resp.to_json())["proto"] == PROTO_V2
         err = ErrorResponse(code="INVALID", message="nope")
-        assert json.loads(encode_response(err, PROTO_V2))["proto"] == PROTO_V2
+        assert json.loads(err.to_json())["proto"] == PROTO_V2
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +636,6 @@ class TestChronusServer:
         assert set(answer) >= {"cores", "threads_per_core", "frequency",
                                "model_type", "batch_size"}
 
-    def test_handle_wire_v1_golden(self, loaded_stack):
-        """A legacy plain-dict client gets the bare config back — the
-        exact bytes the pre-server CLI printed."""
-        svc, _ = loaded_stack
-        server = ChronusServer(svc)
-        with pytest.warns(DeprecationWarning):
-            answer = json.loads(
-                server.handle_wire('{"system_id": 1, "binary_hash": 777}')
-            )
-        assert set(answer) == {"cores", "threads_per_core", "frequency"}
-        assert answer == json.loads(svc.run(1, 777).to_json())
-
     def test_handle_wire_invalid_is_explicit(self, loaded_stack):
         svc, _ = loaded_stack
         server = ChronusServer(svc)
@@ -683,6 +646,15 @@ class TestChronusServer:
             server.handle_wire('{"proto": "chronus/99", "system_id": 1}')
         )
         assert answer["error"] == "INVALID"
+        # a plain dict without "proto" is refused like any other generation
+        answer = json.loads(
+            server.handle_wire('{"system_id": 1, "binary_hash": 777}')
+        )
+        assert answer["error"] == "INVALID"
+        # bytes that are not UTF-8 are answered, not a dropped connection
+        answer = json.loads(server.handle_wire(b"\xff{}"))
+        assert answer["error"] == "INVALID"
+        assert counter_value("serve_protocol_errors_total") == 4
 
     def test_handle_wire_control_ops(self, loaded_stack):
         svc, _ = loaded_stack
@@ -784,12 +756,14 @@ class TestUnixSocketTransport:
             best.cores, best.threads_per_core, best.frequency
         )
 
-    def test_v1_client_over_the_wire(self, daemon):
+    def test_plain_dict_client_refused_over_the_wire(self, daemon):
         _, _, client = daemon
         answer = json.loads(
             client.request_raw('{"system_id": 1, "binary_hash": 777}')
         )
-        assert set(answer) == {"cores", "threads_per_core", "frequency"}
+        assert answer["proto"] == PROTO_V2
+        assert answer["error"] == "INVALID"
+        assert "unsupported protocol" in answer["message"]
 
     def test_ping_reports_cache(self, daemon):
         _, _, client = daemon
@@ -814,34 +788,12 @@ class TestUnixSocketTransport:
 # ---------------------------------------------------------------------------
 # the plugin's typed port
 # ---------------------------------------------------------------------------
-GOOD_JSON = '{"cores": 32, "threads_per_core": 1, "frequency": 2200000}'
-
-
-class _LegacyStub:
-    def __init__(self, payload=GOOD_JSON):
-        self.payload = payload
-        self.calls = []
-
-    def slurm_config(self, system_id, binary_hash, min_perf=None):
-        self.calls.append((system_id, binary_hash, min_perf))
-        return self.payload
-
-
 class _ShedProvider:
     def predict(self, request):
         return ErrorResponse(code=SHED, message="queue full", retryable=True)
 
 
 class TestEcoTypedPort:
-    def test_legacy_provider_is_adapted(self, node):
-        stub = _LegacyStub()
-        plugin = JobSubmitEco(node, stub)
-        assert isinstance(plugin.provider, LegacyProviderAdapter)
-        desc = JobDescriptor(comment="chronus", binary="/opt/hpcg/xhpcg")
-        assert plugin.job_submit(desc, 1000) == SLURM_SUCCESS
-        assert desc.num_tasks == 32
-        assert len(stub.calls) == 1
-
     def test_typed_provider_used_directly(self, node):
         class Typed:
             def predict(self, request):
@@ -882,10 +834,6 @@ class TestEcoTypedPort:
         )
         with pytest.raises(ConfigValidationError, match="cores"):
             validate_chronus_config(resp, node)
-
-    def test_validate_accepts_mapping_and_raw(self, node):
-        assert validate_chronus_config(json.loads(GOOD_JSON), node)[0] == 32
-        assert validate_chronus_config(GOOD_JSON, node)[0] == 32
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +890,7 @@ class TestAtomicModelPublication:
 
 
 # ---------------------------------------------------------------------------
-# PR6: batched hot path parity + framed wire + warm step
+# batched hot path parity + warm step + the line wire
 # ---------------------------------------------------------------------------
 class TestBatchBitIdentity:
     """predict_batch answers must equal per-request predict answers
@@ -1034,12 +982,12 @@ class TestServiceWarm:
             svc.warm(404)
 
 
-class TestFramedWire:
+class TestLineWire:
     @pytest.fixture
     def daemon(self, loaded_stack, tmp_path):
         svc, _ = loaded_stack
         server = ChronusServer(svc)
-        socket_path = str(tmp_path / "chronus-framed.sock")
+        socket_path = str(tmp_path / "chronus-lines.sock")
         uds = UnixSocketServer(server, socket_path).start()
         probe = UnixSocketTransport(socket_path, timeout_s=5.0)
         for _ in range(100):
@@ -1052,63 +1000,31 @@ class TestFramedWire:
         server.shutdown_requested.set()
         uds.stop()
 
-    def test_framed_predict_matches_line_predict(self, daemon):
-        line_client = UnixSocketTransport(daemon, timeout_s=5.0)
-        framed_client = UnixSocketTransport(daemon, timeout_s=5.0, framed=True)
-        request = PredictRequest(system_id=1, binary_hash=777)
-        a = line_client.predict(request)
-        b = framed_client.predict(request)
-        assert isinstance(b, PredictResponse)
-        assert (a.cores, a.threads_per_core, a.frequency) == (
-            b.cores, b.threads_per_core, b.frequency
+    def test_large_line_grows_the_buffer(self, daemon):
+        """A request bigger than the reader's initial 64 KiB buffer must
+        still parse (buffer doubles, then keeps serving)."""
+        client = UnixSocketTransport(daemon, timeout_s=5.0)
+        request = PredictRequest(
+            system_id=1, binary_hash=777, job_name="j" * (128 * 1024)
         )
+        answer = client.predict(request)
+        assert isinstance(answer, PredictResponse)
 
-    def test_framings_mix_on_one_connection(self, daemon):
+    def test_oversized_line_is_refused_and_the_connection_closed(self, daemon):
+        """A client that never sends a newline cannot grow the daemon's
+        buffer past the cap: it gets INVALID, then EOF."""
         import socket as socketlib
-
-        from repro.serving.transport import encode_frame
 
         sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
         sock.settimeout(5.0)
         try:
             sock.connect(daemon)
-            # framed request first ...
-            sock.sendall(encode_frame('{"op": "ping"}'))
-            header = b""
-            while len(header) < 4:
-                header += sock.recv(4 - len(header))
-            length = int.from_bytes(header, "big")
-            payload = b""
-            while len(payload) < length:
-                payload += sock.recv(length - len(payload))
-            assert json.loads(payload)["ok"]
-            # ... then a JSON line on the same connection
-            sock.sendall(b'{"op": "ping"}\n')
-            answer = b""
-            while not answer.endswith(b"\n"):
-                answer += sock.recv(4096)
-            assert json.loads(answer)["ok"]
+            sock.sendall(b"x" * MAX_LINE_BYTES)
+            with sock.makefile("rb") as stream:
+                answer = json.loads(stream.readline())
+                assert stream.read() == b""  # the daemon hung up
         finally:
             sock.close()
-
-    def test_cap_preserves_the_framing_discriminant(self):
-        """Every legal frame length must encode with a 0x00 first byte —
-        that byte is what lets the server tell frames from JSON lines."""
-        from repro.core.domain.errors import ProtocolError
-        from repro.serving.transport import MAX_FRAME_BYTES, encode_frame
-
-        assert MAX_FRAME_BYTES < (1 << 24)
-        header = encode_frame(b"x" * 1024)[:4]
-        assert header[0] == 0x00
-        with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame(b"x" * (MAX_FRAME_BYTES + 1))
-
-    def test_large_frame_grows_the_buffer(self, daemon):
-        """A request bigger than the reader's initial 64 KiB buffer must
-        still parse (buffer doubles, then keeps serving)."""
-        framed_client = UnixSocketTransport(daemon, timeout_s=5.0, framed=True)
-        request = PredictRequest(
-            system_id=1, binary_hash=777, job_name="j" * (128 * 1024)
-        )
-        answer = framed_client.predict(request)
-        assert isinstance(answer, PredictResponse)
+        assert answer["error"] == "INVALID"
+        assert "cap" in answer["message"]
+        assert counter_value("serve_protocol_errors_total") == 1

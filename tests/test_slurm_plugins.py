@@ -14,6 +14,8 @@ from repro.slurm.plugins.base import (
     PluginChain,
 )
 from repro.core.domain.chash import simple_hash
+from repro.core.domain.errors import ProtocolError
+from repro.serving.protocol import decode_response
 from repro.slurm.plugins.eco import JobSubmitEco, PluginState, system_hash_from_node
 
 
@@ -129,17 +131,19 @@ class TestPluginChain:
 
 
 class _StubProvider:
-    """ChronusConfigProvider stub."""
+    """PredictionProvider stub: answers with its JSON payload, decoded."""
 
     def __init__(self, payload):
         self.payload = payload
         self.calls = []
 
-    def slurm_config(self, system_id, binary_hash, min_perf=None):
-        self.calls.append((system_id, binary_hash, min_perf))
+    def predict(self, request):
+        self.calls.append(
+            (request.system_id, request.binary_hash, request.min_perf)
+        )
         if isinstance(self.payload, Exception):
             raise self.payload
-        return self.payload
+        return decode_response(self.payload)
 
 
 GOOD = json.dumps({"cores": 32, "threads_per_core": 1, "frequency": 2_200_000})
@@ -237,12 +241,6 @@ class TestJobSubmitEco:
         assert desc.num_tasks == 4
         assert any("unmodified" in line for line in logs)
 
-    def test_garbage_json_leaves_job_unmodified(self, node):
-        plugin = JobSubmitEco(node, _StubProvider("not json"))
-        desc = JobDescriptor(num_tasks=4, comment="chronus", binary="/x")
-        assert plugin.job_submit(desc, 1000) == SLURM_SUCCESS
-        assert desc.num_tasks == 4
-
     def test_implausible_config_rejected(self, node):
         bad = json.dumps({"cores": 0, "threads_per_core": 1, "frequency": 2_200_000})
         plugin = JobSubmitEco(node, _StubProvider(bad))
@@ -280,13 +278,13 @@ class TestJobSubmitEco:
 
 
 class TestValidateChronusConfig:
-    """Schema validation of the slurm-config JSON answer."""
+    """Validation of a JSON answer: the wire decode, then node bounds."""
 
     @staticmethod
     def validate(raw, node):
         from repro.slurm.plugins.eco import validate_chronus_config
 
-        return validate_chronus_config(raw, node)
+        return validate_chronus_config(decode_response(raw), node)
 
     def errors(self):
         from repro.core.domain.errors import ConfigValidationError
@@ -314,11 +312,11 @@ class TestValidateChronusConfig:
             self.validate(json.dumps(config), node)
 
     def test_non_dict_json_rejected(self, node):
-        with pytest.raises(self.errors(), match="JSON object"):
+        with pytest.raises(ProtocolError, match="JSON object"):
             self.validate(json.dumps([32, 1, 2_200_000]), node)
 
     def test_invalid_json_rejected(self, node):
-        with pytest.raises(self.errors(), match="not valid JSON"):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
             self.validate('{"cores": "all of them"', node)
 
     def test_boolean_value_rejected(self, node):
@@ -366,9 +364,9 @@ class TestEcoResilience:
         clock = {"now": 0.0}
 
         class _SlowProvider:
-            def slurm_config(self, system_id, binary_hash, min_perf=None):
+            def predict(self, request):
                 clock["now"] += 1.0  # predict takes 1s of plugin time
-                return GOOD
+                return decode_response(GOOD)
 
         plugin = JobSubmitEco(
             node, _SlowProvider(), predict_budget_s=0.1,
