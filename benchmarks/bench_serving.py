@@ -138,7 +138,7 @@ def build_requests(jobs: int) -> list[PredictRequest]:
     ]
 
 
-def run_storm(jobs: int, *, max_batch: int, max_wait_ms: float, queue_limit: int):
+def run_storm(jobs: int, *, max_batch: int, queue_limit: int):
     """One storm + serial oracle; returns the JSON-ready report dict."""
     rows = analytic_rows([4, 8, 16, 24, 28, 32], [1_500_000, 2_200_000, 2_500_000])
     requests = build_requests(jobs)
@@ -150,7 +150,6 @@ def run_storm(jobs: int, *, max_batch: int, max_wait_ms: float, queue_limit: int
     server = ChronusServer(
         make_service(rows),
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         queue_limit=queue_limit,
     )
     answers: list = [None] * jobs
@@ -202,7 +201,6 @@ def run_storm(jobs: int, *, max_batch: int, max_wait_ms: float, queue_limit: int
     report = {
         "jobs": jobs,
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "queue_limit": queue_limit,
         "wall_s": wall,
         "unanswered": unanswered,
@@ -420,7 +418,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument(
         "--queue-limit", type=int, default=None,
         help="admission bound [default: jobs + 8, so the parity storm "
@@ -442,7 +439,6 @@ def main(argv=None) -> int:
     report = run_storm(
         jobs,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=queue_limit,
     )
     print(render(report))

@@ -306,7 +306,7 @@ def run_serving_storm(
     servers = []
     for i in range(shards):
         server = ChronusServer(
-            make_service(rows), max_batch=32, max_wait_ms=1.0,
+            make_service(rows), max_batch=32,
             queue_limit=max(256, worker_threads * 4),
         )
         server.start()

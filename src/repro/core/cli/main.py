@@ -227,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="run the prediction daemon (chronus/2 JSON lines over a unix socket)",
+        description="Run the prediction daemon: chronus/2 JSON lines over a "
+        "unix socket.  Batching is work-conserving: a request that arrives "
+        "while the batcher is idle is answered at once, and requests that "
+        "queue while a batch runs form the next batch (at most --max-batch).",
     )
     p_serve.add_argument(
         "--socket", help="unix socket path [default: <workspace>/chronus.sock]"
@@ -241,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-batch", type=int, default=16,
         help="largest micro-batch one optimizer evaluation serves [default: 16]",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long a batch stays open for company [default: 2.0]",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=128,
@@ -480,7 +480,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = app.make_server(
         cache_capacity=args.cache_capacity,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
     )
     for model_id in args.preload or []:
@@ -495,8 +494,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server.start()
     print(
         f"chronus serve: listening on {socket_path} "
-        f"(chronus/2 JSON lines; batch<= {args.max_batch}, "
-        f"wait {args.max_wait_ms} ms, queue {args.queue_limit})"
+        f"(chronus/2 JSON lines; work-conserving batches <= {args.max_batch}, "
+        f"queue {args.queue_limit})"
     )
     try:
         served = daemon.serve_forever()

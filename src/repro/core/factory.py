@@ -224,7 +224,6 @@ class ChronusApp:
         *,
         cache_capacity: Optional[int] = 8,
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         shadow_sample_rate: Optional[float] = None,
     ):
@@ -232,7 +231,10 @@ class ChronusApp:
 
         The server owns the bounded model cache and the micro-batching
         queue; it serves predictions inline until ``start()`` is called
-        (so building one spawns no threads).
+        (so building one spawns no threads).  Once started, its batching
+        thread is work-conserving: each batch takes up to ``max_batch``
+        of the requests queued while the previous batch ran, and a lone
+        request is never held back.
         """
         from repro.serving.server import ChronusServer
 
@@ -241,7 +243,6 @@ class ChronusApp:
             load_model_service=self.load_model_service,
             cache_capacity=cache_capacity,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
             shadow_sample_rate=shadow_sample_rate,
             log=self._log,

@@ -7,11 +7,12 @@ without bound wastes the cheap part (the plugin's deadline) on waiting.
 The :class:`MicroBatcher` resolves both:
 
 * concurrent ``submit`` calls are coalesced into batches of at most
-  ``max_batch`` requests.  A batch that is not full is held open for
-  ``max_wait_ms`` after its first request, so a lone request waits that
-  long for company that may not come: the traced ``ctld_storm``
-  benchmark, whose one caller sends one request at a time, shows a
-  ``predict.queue`` p50 of about 2.6 ms at the 2 ms default;
+  ``max_batch`` requests.  The batcher is work-conserving: whenever its
+  thread is free it takes every queued request, up to ``max_batch``, as
+  one batch, so a batch is whatever queued up while the previous one
+  ran.  A lone request is never held back for company that may not
+  come; under a storm, batches still form because requests queue while
+  the handler runs;
 * the queue is bounded (``queue_limit``); a request that does not fit is
   answered with an explicit ``SHED`` :class:`ErrorResponse` *immediately*
   — never enqueued-and-forgotten — so the caller's circuit breaker and
@@ -28,7 +29,6 @@ Metrics: ``serve_requests_total``, ``serve_shed_total``,
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Callable, List, Sequence, Union
 
@@ -58,18 +58,14 @@ class MicroBatcher:
         handler: BatchHandler,
         *,
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self._handler = handler
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.queue_limit = queue_limit
         self._queue: "deque[_Pending]" = deque()
         self._cond = threading.Condition()
@@ -147,21 +143,10 @@ class MicroBatcher:
         while True:
             with self._cond:
                 while not self._queue and self._running:
-                    self._cond.wait(0.1)
+                    self._cond.wait()
                 if not self._queue:
                     return  # stopped and drained
-                if self._running and len(self._queue) < self.max_batch:
-                    # first request seen: hold the batch open briefly so
-                    # a storm's siblings can join it
-                    close_at = time.monotonic() + self.max_wait_ms / 1000.0
-                    while (
-                        self._running
-                        and len(self._queue) < self.max_batch
-                    ):
-                        remaining = close_at - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
+                # work-conserving: take what is queued now, wait for nothing
                 size = min(self.max_batch, len(self._queue))
                 batch = [self._queue.popleft() for _ in range(size)]
                 telemetry.gauge("serve_queue_depth").set(len(self._queue))

@@ -10,7 +10,9 @@ module is the serving layer that promise scales through:
   inside the plugin window;
 * a :class:`~repro.serving.batching.MicroBatcher` coalesces a submit
   storm's concurrent predict calls into vectorized batch evaluations —
-  duplicates in a batch cost one optimizer call total;
+  duplicates in a batch cost one optimizer call total.  It is
+  work-conserving: a batch is whatever queued up while the previous one
+  ran, so a request that arrives alone is answered without delay;
 * admission control answers overload with an explicit ``SHED``
   :class:`~repro.serving.protocol.ErrorResponse`, engaging the plugin's
   breaker + no-op fallback instead of stalling slurmctld;
@@ -65,7 +67,6 @@ class ChronusServer:
         load_model_service: Optional[LoadModelService] = None,
         cache_capacity: Optional[int] = 8,
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         shadow_sample_rate: Optional[float] = None,
         log: Optional[Callable[[str], None]] = None,
@@ -83,7 +84,6 @@ class ChronusServer:
             # bound to the service, not to this server: no server <-> batcher cycle
             functools.partial(_handle_batch, config_service),
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
         )
         #: set when a wire client asked the daemon to exit

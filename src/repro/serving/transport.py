@@ -67,25 +67,29 @@ class _ConnReader:
     complete messages are sliced out and consumed in place.  The buffer
     is compacted (slide-to-front) only when full and grows only when one
     message outsizes it — steady-state serving does zero per-request
-    allocations beyond the payload slice handed to ``json.loads``.
+    allocations beyond the payload slice handed to ``json.loads``.  The
+    newline search resumes where the last one stopped, so a line that
+    arrives in many pieces is scanned once, not once per piece.
     """
 
-    __slots__ = ("_conn", "_buf", "_start", "_end")
+    __slots__ = ("_conn", "_buf", "_start", "_end", "_scanned")
 
     def __init__(self, conn: socket.socket, bufsize: int = 64 * 1024) -> None:
         self._conn = conn
         self._buf = bytearray(bufsize)
         self._start = 0  # first unconsumed byte
         self._end = 0  # first unfilled byte
+        self._scanned = 0  # [_start, _scanned) holds no newline
 
     def _fill(self) -> bool:
         """Pull more bytes from the socket; ``False`` on EOF."""
         if self._start == self._end:
-            self._start = self._end = 0
+            self._start = self._end = self._scanned = 0
         elif self._end == len(self._buf):
             if self._start > 0:
                 remaining = self._end - self._start
                 self._buf[:remaining] = self._buf[self._start : self._end]
+                self._scanned -= self._start
                 self._start, self._end = 0, remaining
             elif len(self._buf) >= MAX_LINE_BYTES:
                 raise ProtocolError(
@@ -107,15 +111,16 @@ class _ConnReader:
     def next_message(self) -> "bytes | None":
         """The next complete non-blank line, stripped; None on EOF."""
         while True:
-            newline = self._buf.find(b"\n", self._start, self._end)
+            newline = self._buf.find(b"\n", self._scanned, self._end)
             if newline >= 0:
                 payload = bytes(
                     memoryview(self._buf)[self._start : newline]
                 ).strip()
-                self._start = newline + 1
+                self._start = self._scanned = newline + 1
                 if payload:
                     return payload
                 continue
+            self._scanned = self._end
             if not self._fill():
                 # EOF with an unterminated trailing line: still a message
                 payload = bytes(

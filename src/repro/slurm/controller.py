@@ -39,6 +39,7 @@ from repro import faults, telemetry
 from repro.core.domain.errors import (
     ControllerCrashError,
     DependencyError,
+    JournalCorruptError,
     StaleEpochError,
 )
 from repro.simkernel.engine import Simulator
@@ -326,7 +327,12 @@ class Slurmctld:
 
         Loads the newest digest-valid snapshot, replays the journal suffix,
         then re-arms every running job's completion event at its journaled
-        time.  ``attach=True`` means the nodes survived (peer takeover on
+        time.  The suffix must continue the snapshot's sequence without a
+        hole: a compacted journal whose snapshot is unreadable raises
+        :class:`~repro.core.domain.errors.JournalCorruptError` instead of
+        restoring a controller that lost the compacted records.
+
+        ``attach=True`` means the nodes survived (peer takeover on
         shared hardware): journaled workload handles are still live and
         orphan steps no restored job owns are stopped.  ``attach=False``
         is a cold restart: nodes came back empty and every surviving
@@ -361,6 +367,12 @@ class Slurmctld:
             after = int(snap["seq"])
         replayed = 0
         for rec in statesave.replay(after):
+            if rec.seq != after + replayed + 1:
+                raise JournalCorruptError(
+                    f"replay expected journal record {after + replayed + 1} "
+                    f"but read {rec.seq} (newest readable snapshot: seq "
+                    f"{after}); refusing to restore across a hole"
+                )
             ctld._apply(rec.type, rec.data)
             replayed += 1
         ctld.last_restore_replayed = replayed

@@ -24,8 +24,10 @@ simulated controller:
 * **Snapshots** — periodic full dumps of the controller's captured
   state, written atomically (tmp + ``os.replace`` + directory fsync)
   with a SHA-256 digest verified on load; a corrupt snapshot falls back
-  to the previous one.  After a snapshot the journal can be compacted to
-  the records newer than the snapshot.
+  to the previous one, so each write keeps the newest two and deletes
+  the rest.  After a snapshot the journal can be compacted to the
+  records newer than the snapshot; compaction deletes every older
+  snapshot, whose restore would need the records it drops.
 * **Epoch fencing** — the location owns a durable epoch counter.  A
   takeover bumps it; every append and lease write is checked against the
   current epoch, so a zombie primary (still running after its lease
@@ -49,7 +51,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro import faults, telemetry
 from repro.core.domain.errors import (
@@ -71,6 +73,14 @@ _JOURNAL = "journal.log"
 _EPOCH = "epoch"
 _LEASE = "lease.json"
 _SNAP_PREFIX = "snapshot-"
+#: snapshots a write leaves behind: the newest, and the fallback
+#: :meth:`StateSave.load_latest_snapshot` reads when the newest is corrupt
+_SNAPSHOTS_KEPT = 2
+
+
+def _snapshot_name(seq: int) -> str:
+    # zero-padded, so names sort in sequence order
+    return f"{_SNAP_PREFIX}{seq:012d}.json"
 
 
 def canonical_json(value) -> str:
@@ -418,8 +428,9 @@ class StateSave:
             "state": state,
             "digest": state_sha256(state),
         }
-        name = f"{_SNAP_PREFIX}{seq:012d}.json"
+        name = _snapshot_name(seq)
         self._write_atomic(os.path.join(self.path, name), canonical_json(payload))
+        self._remove_snapshots(self._snapshot_files()[_SNAPSHOTS_KEPT:])
         self._records_since_snapshot = 0
         telemetry.counter("snapshot_writes_total").inc()
         return name
@@ -433,6 +444,13 @@ class StateSave:
             e for e in entries if e.startswith(_SNAP_PREFIX) and e.endswith(".json")
         ]
         return sorted(snaps, reverse=True)
+
+    def _remove_snapshots(self, names: Iterable[str]) -> None:
+        for name in names:
+            try:
+                os.remove(os.path.join(self.path, name))
+            except FileNotFoundError:
+                pass
 
     def latest_snapshot_seq(self) -> int:
         snap = self.load_latest_snapshot()
@@ -455,13 +473,19 @@ class StateSave:
     def compact(self) -> int:
         """Drop journal records already covered by the latest snapshot.
 
-        Returns the number of records removed.  Consumers that tail the
-        journal (the accounting daemon) bootstrap from the snapshot when
-        their cursor predates the compaction point.
+        Every older snapshot is deleted first: a restore from one of them
+        would replay across the records dropped here.  Returns the number
+        of records removed.  Consumers that tail the journal (the
+        accounting daemon) bootstrap from the snapshot when their cursor
+        predates the compaction point.
         """
         snap_seq = self.latest_snapshot_seq()
         if not snap_seq:
             return 0
+        compacted_to = _snapshot_name(snap_seq)
+        self._remove_snapshots(
+            name for name in self._snapshot_files() if name < compacted_to
+        )
         records = self._read_all()
         keep = [r for r in records if r.seq > snap_seq]
         removed = len(records) - len(keep)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -51,6 +52,7 @@ from repro.serving.server import ChronusServer
 from repro.serving.transport import (
     MAX_LINE_BYTES,
     LocalTransport,
+    _ConnReader,
     UnixSocketServer,
     UnixSocketTransport,
 )
@@ -367,34 +369,59 @@ class TestMicroBatcher:
         assert threading.active_count() == threading.active_count()  # no leak
 
     def test_concurrent_submits_coalesce(self):
+        # no timer involved: the handler holds the first batch until
+        # twelve more submits are queued, and the next batch must take
+        # as many of them as max_batch allows, the one after the rest
         sizes = []
-        gate = threading.Barrier(9)
+        queued, max_batch = 12, 8
+        first_running = threading.Event()
+        release = threading.Event()
 
         def handler(requests):
             sizes.append(len(requests))
+            if len(sizes) == 1:
+                first_running.set()
+                release.wait(10.0)
             return echo_handler(requests)
 
-        batcher = MicroBatcher(handler, max_batch=8, max_wait_ms=50.0)
+        batcher = MicroBatcher(handler, max_batch=max_batch)
         batcher.start()
+        results = [None] * (1 + queued)
+
+        def worker(i):
+            results[i] = batcher.submit(PredictRequest(system_id=i))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(1 + queued)]
         try:
-            results = [None] * 8
-
-            def worker(i):
-                gate.wait()
-                results[i] = batcher.submit(PredictRequest(system_id=i))
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
+            threads[0].start()
+            assert first_running.wait(5.0)
+            for t in threads[1:]:
                 t.start()
-            gate.wait()
+            deadline = time.monotonic() + 5.0
+            while len(batcher._queue) < queued and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(batcher._queue) == queued
+        finally:
+            release.set()
             for t in threads:
                 t.join(timeout=10.0)
-        finally:
             batcher.stop()
         assert all(isinstance(r, PredictResponse) for r in results)
-        assert max(sizes) > 1  # the storm actually batched
+        assert sizes == [1, max_batch, queued - max_batch]
+
+    def test_lone_request_is_not_held(self):
+        # a started batcher answers a request that arrives alone at once:
+        # 50 sequential submits cost thread handoffs, not 50 timed holds
+        batcher = MicroBatcher(echo_handler)
+        batcher.start()
+        try:
+            t0 = time.perf_counter()
+            answers = [batcher.submit(PredictRequest(system_id=1)) for _ in range(50)]
+            elapsed = time.perf_counter() - t0
+        finally:
+            batcher.stop()
+        assert all(isinstance(a, PredictResponse) for a in answers)
+        assert elapsed < 0.05, f"50 lone submits took {elapsed * 1e3:.1f} ms"
 
     def test_full_queue_sheds_explicitly(self):
         release = threading.Event()
@@ -405,9 +432,7 @@ class TestMicroBatcher:
             release.wait(10.0)
             return echo_handler(requests)
 
-        batcher = MicroBatcher(
-            slow_handler, max_batch=1, max_wait_ms=0.0, queue_limit=1
-        )
+        batcher = MicroBatcher(slow_handler, max_batch=1, queue_limit=1)
         batcher.start()
         try:
             # occupy the handler with one request...
@@ -461,7 +486,7 @@ class TestMicroBatcher:
             done.append(len(requests))
             return echo_handler(requests)
 
-        batcher = MicroBatcher(handler, max_wait_ms=1.0)
+        batcher = MicroBatcher(handler)
         batcher.start()
         answers = []
         threads = [
@@ -483,8 +508,6 @@ class TestMicroBatcher:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             MicroBatcher(echo_handler, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(echo_handler, max_wait_ms=-1)
         with pytest.raises(ValueError):
             MicroBatcher(echo_handler, queue_limit=0)
 
@@ -568,9 +591,7 @@ class TestChronusServer:
 
         # queue_limit must cover the whole storm: this test asserts
         # parity, the admission-control test asserts explicit SHEDs
-        server = ChronusServer(
-            svc_serving, max_batch=32, max_wait_ms=5.0, queue_limit=256
-        )
+        server = ChronusServer(svc_serving, max_batch=32, queue_limit=256)
         results: list = [None] * len(requests)
         gate = threading.Barrier(len(requests))
 
@@ -858,13 +879,18 @@ class TestAtomicModelPublication:
         with open(path, "wb") as fh:
             fh.write(data)
 
+    @staticmethod
+    def _read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
     def test_success_leaves_no_tmp_file(self, tmp_path, steady_rows):
         repo, blobs, local, meta = self._stack(tmp_path, steady_rows)
         load = LoadModelService(repo, blobs, local, write_local=self._write)
         _, path = load.run(meta.model_id)
         assert os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
-        assert open(path, "rb").read() == blobs.load(meta.blob_path)
+        assert self._read(path) == blobs.load(meta.blob_path)
 
     def test_crash_mid_write_never_truncates_published_model(
         self, tmp_path, steady_rows
@@ -874,7 +900,7 @@ class TestAtomicModelPublication:
         repo, blobs, local, meta = self._stack(tmp_path, steady_rows)
         load = LoadModelService(repo, blobs, local, write_local=self._write)
         _, path = load.run(meta.model_id)
-        good = open(path, "rb").read()
+        good = self._read(path)
 
         def crashing_write(p, data):
             self._write(p, data[: len(data) // 2])
@@ -884,9 +910,9 @@ class TestAtomicModelPublication:
         with pytest.raises(OSError):
             crashy.run(meta.model_id)
         # the published artifact under the final name is bit-identical
-        assert open(path, "rb").read() == good
+        assert self._read(path) == good
         # and the optimizer still deserializes
-        ModelFactory.load_optimizer(meta.model_type, open(path, "rb").read())
+        ModelFactory.load_optimizer(meta.model_type, self._read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1035,37 @@ class TestLineWire:
         )
         answer = client.predict(request)
         assert isinstance(answer, PredictResponse)
+
+    def test_line_in_small_pieces_is_scanned_once(self):
+        """A 1 MiB line that arrives 1 KiB at a time costs one pass of
+        the newline search, not one pass per piece."""
+
+        class CountingBuffer(bytearray):
+            scanned = 0
+
+            def find(self, sub, start=0, end=None):
+                self.scanned += (len(self) if end is None else end) - start
+                return super().find(sub, start, end)
+
+        class Trickle:
+            def __init__(self, data: bytes, piece: int) -> None:
+                self.data, self.piece = memoryview(data), piece
+
+            def recv_into(self, view) -> int:
+                n = min(self.piece, len(view), len(self.data))
+                view[:n] = self.data[:n]
+                self.data = self.data[n:]
+                return n
+
+        line = b"x" * (1 << 20)
+        # the short line first, so the slide-to-front path runs too
+        reader = _ConnReader(Trickle(b"ping\n" + line + b"\n", 1024))
+        reader._buf = CountingBuffer(reader._buf)
+        assert reader.next_message() == b"ping"
+        assert reader.next_message() == line
+        assert reader.next_message() is None
+        scanned = reader._buf.scanned
+        assert scanned <= 2 * len(line), f"find scanned {scanned} bytes"
 
     def test_oversized_line_is_refused_and_the_connection_closed(self, daemon):
         """A client that never sends a newline cannot grow the daemon's

@@ -235,6 +235,33 @@ class TestSnapshots:
         ss.write_snapshot({}, epoch=0, time=2.0)
         assert not ss.should_snapshot()
 
+    @staticmethod
+    def _snapshots(path) -> list:
+        return sorted(n for n in os.listdir(path) if n.startswith("snapshot-"))
+
+    def test_writes_keep_the_newest_two_snapshots(self, tmp_path):
+        ss = StateSave(str(tmp_path), fsync=False, snapshot_interval=2)
+        for i in range(1, 13):
+            ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
+            if ss.should_snapshot():
+                ss.write_snapshot({"upto": i}, epoch=0, time=float(i))
+        # six intervals: the newest snapshot and its fallback are left
+        assert self._snapshots(tmp_path) == [
+            "snapshot-000000000010.json",
+            "snapshot-000000000012.json",
+        ]
+        assert ss.load_latest_snapshot()["state"] == {"upto": 12}
+
+    def test_compact_deletes_the_older_snapshots(self, tmp_path):
+        ss = StateSave(str(tmp_path), fsync=False)
+        for i in range(1, 5):
+            ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
+            ss.write_snapshot({"upto": i}, epoch=0, time=float(i))
+        ss.append("submit", {"job_id": 5}, epoch=0, time=5.0)
+        assert ss.compact() == 4
+        # a restore from snapshot 3 would need record 4, dropped above
+        assert self._snapshots(tmp_path) == ["snapshot-000000000004.json"]
+
 
 # ----------------------------------------------------------------------
 # the replay invariant
@@ -447,6 +474,19 @@ class TestJournalFixture:
         restored = self._restore(ss)
         assert restored.last_restore_replayed == expected["records"]
         assert restored.state_digest() == expected["state_digest"]
+        ss.close()
+
+    def test_restore_refuses_a_hole_after_compaction(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        assert ss.compact() == expected["snapshot_seq"]
+        newest = f"snapshot-{expected['snapshot_seq']:012d}.json"
+        with open(os.path.join(path, newest), "a", encoding="utf-8") as fh:
+            fh.write("garbage")
+        # no readable snapshot covers the compacted records: replaying
+        # the suffix alone would restore a controller missing them
+        with pytest.raises(JournalCorruptError, match="hole"):
+            self._restore(ss)
         ss.close()
 
     def test_fresh_dbd_bills_the_recorded_joules(self, saved):
