@@ -4,8 +4,8 @@ PR 2 vectorized ``diagonal``/``subset_matvec``/``todense`` and memoised the
 multicolor Gauss–Seidel partitions.  This bench times each fast path under
 pytest-benchmark and cross-checks it against the preserved loop baseline
 (:mod:`benchmarks.kernel_oracles`) for both speed and bit-exact numerics.
-The standalone ``scripts/run_bench_suite.py`` records the same comparison
-into ``BENCH_PR2.json``.
+``python scripts/gate.py kernels`` makes the same comparison and holds
+each speedup against the committed ``BENCH_PR2.json``.
 """
 
 import numpy as np

@@ -15,11 +15,11 @@ one request at a time on a second, cache-cold service).  Records, as JSON:
   the SHED responses clients actually saw, so a silently dropped request
   is arithmetically visible.
 
-The companion ``scripts/check_serving_gate.py`` asserts the invariants;
-this script only runs and records.
+``python scripts/gate.py serving`` holds these to their invariants at
+200 and 1,000 jobs; this script only runs and records.
 
-``--throughput`` additionally measures the PR6 batched prediction hot
-path and emits the ``BENCH_PR6.json`` trajectory:
+``--throughput`` additionally measures the batched prediction hot path
+and emits the ``BENCH_PR6.json`` trajectory:
 
 * **throughput** — requests/sec and p95 of the scalar ``predict`` loop
   vs ``predict_batch`` at several batch sizes, with every batched answer
@@ -27,12 +27,7 @@ path and emits the ``BENCH_PR6.json`` trajectory:
   bit-identical: batching is a throughput optimisation, never a
   semantic one);
 * **warm** — first-request latency on a cold service vs one warmed by
-  the ``chronus load-model`` ahead-of-time step;
-* **sweep** — the ``SweepExecutor`` serial-vs-pool re-benchmark with the
-  per-worker memoised voltage cache (PR6 satellite fix).
-
-The companion ``scripts/check_predict_throughput_gate.py`` gates the
-throughput report in CI.
+  the ``chronus load-model`` ahead-of-time step.
 
 Usage::
 
@@ -325,48 +320,6 @@ def run_warm_comparison() -> dict:
     }
 
 
-def run_sweep_rebench(quick: bool) -> dict:
-    """SweepExecutor serial vs pool with the memoised per-worker caches."""
-    from repro.core.application.sweep_executor import (
-        SweepExecutor,
-        resolve_worker_count,
-    )
-    from repro.core.repositories.memory_repository import MemoryRepository
-    from repro.core.runners.sweep_worker import build_sweep_points, run_sweep_point
-    from repro.core.services.lscpu_info import LscpuSystemInfo
-    from repro.slurm.cluster import SimCluster
-
-    core_counts = [4, 16, 32] if quick else [4, 8, 16, 24, 28, 32]
-    configs = Configuration.sweep(
-        core_counts=core_counts, frequencies=[1_500_000, 2_200_000, 2_500_000]
-    )
-    points = build_sweep_points(configs, base_seed=33)
-    workers = min(4, resolve_worker_count(None))
-
-    def run_with(n: int):
-        cluster = SimCluster(seed=33)
-        executor = SweepExecutor(
-            MemoryRepository(),
-            LscpuSystemInfo(cluster.node),
-            run_sweep_point,
-            workers=n,
-        )
-        t0 = time.perf_counter()
-        result_rows = executor.run_sweep(points)
-        return result_rows, time.perf_counter() - t0
-
-    serial_rows, serial_wall = run_with(1)
-    parallel_rows, parallel_wall = run_with(workers)
-    return {
-        "points": len(points),
-        "workers": workers,
-        "serial_wall_s": serial_wall,
-        "parallel_wall_s": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall > 0 else float("inf"),
-        "identical_results": serial_rows == parallel_rows,
-    }
-
-
 def render_throughput(doc: dict) -> str:
     tp = doc["throughput"]
     lines = [
@@ -384,13 +337,6 @@ def render_throughput(doc: dict) -> str:
         f"  first request: cold {warm['cold_first_request_ms']:.2f}ms, "
         f"warmed {warm['warmed_first_request_ms']:.2f}ms "
         f"({warm['speedup']:.1f}x)"
-    )
-    sweep = doc["sweep"]
-    lines.append(
-        f"  sweep rebench: {sweep['points']} points serial "
-        f"{sweep['serial_wall_s']:.2f}s, pool({sweep['workers']}) "
-        f"{sweep['parallel_wall_s']:.2f}s ({sweep['speedup']:.2f}x), "
-        f"identical={sweep['identical_results']}"
     )
     return "\n".join(lines)
 
@@ -426,7 +372,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--throughput", action="store_true",
         help="measure the batched prediction hot path too and emit the "
-        "BENCH_PR6 trajectory (storm + throughput + warm + sweep)",
+        "BENCH_PR6 trajectory (storm + throughput + warm)",
     )
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
@@ -457,7 +403,6 @@ def main(argv=None) -> int:
             "storm": report,
             "throughput": run_throughput(jobs),
             "warm": run_warm_comparison(),
-            "sweep": run_sweep_rebench(quick=args.smoke),
         }
         print(render_throughput(doc))
         with open(output, "w") as fh:

@@ -2,7 +2,7 @@
 """Fleet-scale storm benchmarks: scheduler, DES engine, sharded serving.
 
 Three coupled measurements, recorded as one JSON report (``BENCH_PR7.json``
-at full size, ``--smoke`` in CI):
+at full size, ``--smoke`` at the size ``python scripts/gate.py storm`` runs):
 
 * **scheduler** — one backfill pass over a fleet-sized cluster (1,000
   nodes at full size) with a deep pending queue, timed for the reference
@@ -20,12 +20,9 @@ at full size, ``--smoke`` in CI):
   :class:`~repro.serving.router.ShardRouter` over N in-process
   ``ChronusServer`` workers, answers checked against a serial oracle.
   Zero SHED, zero unanswered and bounded p95 are the gate.
-* **sweep** — the multi-core sweep re-benchmark with per-worker kernel
-  cache reuse (``shared_problem`` + process-shared roofline model):
-  pool(≥2) must reproduce the serial rows bit-identically.
 
-The companion ``scripts/check_storm_gate.py`` asserts the invariants;
-this script only runs and records.
+``python scripts/gate.py storm`` asserts the invariants; this script only
+runs and records.
 
 Usage::
 
@@ -393,78 +390,10 @@ def run_serving_storm(
 
 
 # ---------------------------------------------------------------------------
-# sweep re-benchmark with per-worker kernel-cache reuse
-# ---------------------------------------------------------------------------
-def run_sweep_rebench(quick: bool) -> dict:
-    from repro.core.application.sweep_executor import (
-        SweepExecutor,
-        resolve_worker_count,
-    )
-    from repro.core.domain.configuration import Configuration
-    from repro.core.repositories.memory_repository import MemoryRepository
-    from repro.core.runners.sweep_worker import build_sweep_points, run_sweep_point
-    from repro.core.services.lscpu_info import LscpuSystemInfo
-    from repro.slurm.cluster import SimCluster
-
-    core_counts = [4, 16, 32] if quick else [4, 8, 16, 24, 28, 32]
-    configs = Configuration.sweep(
-        core_counts=core_counts, frequencies=[1_500_000, 2_200_000, 2_500_000]
-    )
-    points = build_sweep_points(configs, base_seed=33)
-    # the PR7 satellite requires a >= 2-worker pool section even on
-    # single-core CI hosts (reuse is per-process, not per-core)
-    workers = max(2, min(4, resolve_worker_count(None)))
-
-    def run_with(n: int):
-        cluster = SimCluster(seed=33)
-        executor = SweepExecutor(
-            MemoryRepository(),
-            LscpuSystemInfo(cluster.node),
-            run_sweep_point,
-            workers=n,
-        )
-        t0 = time.perf_counter()
-        result_rows = executor.run_sweep(points)
-        return result_rows, time.perf_counter() - t0
-
-    serial_rows, serial_wall = run_with(1)
-    parallel_rows, parallel_wall = run_with(workers)
-
-    # kernel-cache reuse: the second benchmark build at one problem size
-    # must reuse the shared problem (same object, warm multicolor memos)
-    from repro.hpcg.benchmark import HpcgBenchmark
-
-    nx = 20 if quick else 24
-    t0 = time.perf_counter()
-    first = HpcgBenchmark(nx, reuse_problem=True)
-    first_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    second = HpcgBenchmark(nx, reuse_problem=True)
-    second_build = time.perf_counter() - t0
-
-    return {
-        "points": len(points),
-        "workers": workers,
-        "serial_wall_s": serial_wall,
-        "parallel_wall_s": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall > 0 else float("inf"),
-        "identical_results": serial_rows == parallel_rows,
-        "kernel_cache": {
-            "nx": nx,
-            "first_build_s": first_build,
-            "second_build_s": second_build,
-            "problem_shared": first.problem is second.problem,
-            "reuse_speedup": first_build / second_build if second_build > 0 else float("inf"),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 def render(report: dict) -> str:
     sched = report["scheduler"]
     des = report["des_storm"]
     serve = report["serving_storm"]
-    sweep = report["sweep"]
     lines = [
         f"scheduler: {sched['n_nodes']} nodes x queue {sched['queue_depth']} | "
         f"reference p50 {sched['reference']['p50_ms']:.1f}ms -> incremental "
@@ -479,9 +408,6 @@ def render(report: dict) -> str:
         f"shards | {serve['rps']:,.0f} rps, p95 "
         f"{serve['latency_s']['p95'] * 1e3:.1f}ms, shed={serve['shed_responses_seen']}, "
         f"mismatches={serve['mismatches']}",
-        f"sweep: {sweep['points']} points, pool({sweep['workers']}) "
-        f"identical={sweep['identical_results']}, kernel-cache reuse "
-        f"{sweep['kernel_cache']['reuse_speedup']:.1f}x",
     ]
     return "\n".join(lines)
 
@@ -512,7 +438,6 @@ def main(argv=None) -> int:
         "scheduler": run_scheduler_bench(1_000, 1_000, 5),
         "des_storm": run_des_scaling(storm_nodes, storm_jobs),
         "serving_storm": run_serving_storm(clients, shards),
-        "sweep": run_sweep_rebench(quick=args.smoke),
     }
 
     print(render(report))

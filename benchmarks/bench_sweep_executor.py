@@ -4,8 +4,8 @@ Times a reduced (deterministically seeded) sweep through
 :class:`~repro.core.application.sweep_executor.SweepExecutor` on one worker
 and on ``min(4, os.cpu_count())`` workers, and asserts the two produce
 identical rows.  The wall-clock ratio depends on the host's core count —
-``scripts/run_bench_suite.py`` records it (with ``cpu_count``) into
-``BENCH_PR2.json``; near-linear scaling needs a multi-core host.
+``python scripts/gate.py kernels`` prints both walls of the full 138-point
+sweep; near-linear scaling needs a multi-core host.
 """
 
 import os

@@ -242,7 +242,7 @@ class SweepExecutor:
                 runs.append(run)
             return runs
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
             wall = time.perf_counter() - wall_started
             if wall > 0:
                 # rough pool utilization: parent-observed busy time over

@@ -10,8 +10,8 @@ tests.
 
 See :mod:`repro.faults.injector` for the spec grammar and the list of
 fault sites, :mod:`repro.faults.profiles` for named profiles, and
-:mod:`repro.faults.scenarios` for the runnable chaos scenarios the CI
-``chaos-smoke`` job gates on.
+:mod:`repro.faults.scenarios` for the runnable chaos scenarios the
+``chaos`` gate of ``scripts/gate.py`` runs.
 """
 
 from __future__ import annotations

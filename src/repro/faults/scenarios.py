@@ -16,7 +16,8 @@ active fault profile:
 Both are pure in-process simulations driven by the seeded
 :mod:`repro.faults` injector, so a scenario is exactly reproducible from
 ``(profile, seed)`` — that is what lets CI gate on their outcome (the
-``chaos-smoke`` job) and what ``chronus faults run`` executes.
+``chaos`` gate of ``scripts/gate.py``) and what ``chronus faults run``
+executes.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _collect(names: tuple, baseline: Optional[dict] = None) -> dict:
     """Current metric totals, minus ``baseline`` when given.
 
     Scenarios report the *delta* their run produced so back-to-back drills
-    in one process (the CI smoke script) do not bleed into each other.
+    in one process (the ``chaos`` gate) do not bleed into each other.
     """
     snap = telemetry.snapshot()
     values = {name: metric_total(snap, name) for name in names}

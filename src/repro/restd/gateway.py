@@ -386,21 +386,20 @@ class RestGateway:
     def _submit_job(self, request: HttpRequest, params: dict) -> RestResponse:
         req = JobSubmitRequest.from_dict(self._json_body(request))
         ctld = self._leader()
-        if req.dedup and req.name:
-            for job in ctld.jobs.values():
-                if job.descriptor.name == req.name:
-                    # a retry whose first attempt's journal record was
-                    # durable (ack lost): answer the existing job
-                    telemetry.counter("restd_dedup_hits_total").inc()
-                    return RestResponse(
-                        status=200,
-                        body=JobSubmitResult(
-                            job_id=job.job_id,
-                            name=req.name,
-                            deduplicated=True,
-                            task_ids=self._task_ids(ctld, job),
-                        ).to_dict(),
-                    )
+        existing = ctld.job_by_name(req.name) if req.dedup and req.name else None
+        if existing is not None:
+            # a retry whose first attempt's journal record was durable
+            # (ack lost): answer the existing job
+            telemetry.counter("restd_dedup_hits_total").inc()
+            return RestResponse(
+                status=200,
+                body=JobSubmitResult(
+                    job_id=existing,
+                    name=req.name,
+                    deduplicated=True,
+                    task_ids=self._task_ids(ctld, ctld.jobs[existing]),
+                ).to_dict(),
+            )
         job_id = ctld.submit(req.to_descriptor(), submit_uid=req.uid)
         task_ids: tuple[int, ...] = ()
         if req.array:

@@ -1135,6 +1135,18 @@ class Slurmctld:
             raise KeyError(f"unknown job {job_id}")
         return self.jobs[job_id]
 
+    def job_by_name(self, name: str) -> Optional[int]:
+        """The lowest id of a job named ``name``, or None.
+
+        Lowest id, not the first in ``self.jobs``: a restore rebuilds the
+        table from a snapshot in key-string order (1, 10, 11, 2, ...), so
+        the first match there can be an array task instead of its master.
+        """
+        return min(
+            (job.job_id for job in self.jobs.values() if job.descriptor.name == name),
+            default=None,
+        )
+
     def pending_jobs(self) -> list[Job]:
         return [self.jobs[j] for j in self._pending]
 

@@ -34,7 +34,10 @@ drops leaves the surviving records byte-identical, so the anchor holds.
 When the leader compacts the journal past the daemon's cursor, the full
 scan bootstraps from the latest snapshot (which carries both the
 accounting rows and the job table) and tailing resumes from the
-snapshot's sequence number.
+snapshot's sequence number.  With no readable snapshot to cover the
+compacted records it raises
+:class:`~repro.core.domain.errors.JournalCorruptError` rather than bill
+a table with a hole in it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import telemetry
+from repro.core.domain.errors import JournalCorruptError
 from repro.slurm import lifecycle
 from repro.slurm.accounting import AccountingDatabase, record_from_job
 from repro.slurm.job import Job
@@ -109,12 +113,19 @@ class SlurmDbd:
         if records:
             min_seq = records[0].seq
         else:
-            # empty journal: everything may be behind the latest snapshot
-            # (compaction right after a snapshot leaves no tail at all)
-            min_seq = self.statesave.latest_snapshot_seq() + 1
+            # empty journal: everything up to the writer's position may be
+            # behind the latest snapshot (compaction right after a snapshot
+            # leaves no tail at all)
+            min_seq = max(self.statesave.last_seq, self.statesave.latest_snapshot_seq()) + 1
         if min_seq > 1 and self.cursor < min_seq - 1:
             # the journal was compacted past our cursor; re-bootstrap
             self._bootstrap()
+            if self.cursor < min_seq - 1:
+                raise JournalCorruptError(
+                    f"the journal starts at record {min_seq}, slurmdbd has "
+                    f"applied up to {self.cursor} and no readable snapshot "
+                    "covers the gap; refusing to bill across a hole"
+                )
         return records, anchor
 
     def _bootstrap(self) -> None:

@@ -312,7 +312,7 @@ class DrillPlane:
     """A ready-to-drive two-peer control plane on the drill workload.
 
     Built by :func:`build_drill_plane`; shared by the failover drill, the
-    restd chaos scenario and the REST smoke script so they all exercise
+    restd chaos scenario and the ``restd`` gate so they all exercise
     the same HA wiring (one state-save, fenced takeover, journal-tailing
     accounting) instead of three hand-rolled variants.
     """
@@ -355,7 +355,7 @@ def build_drill_plane(
     The drill binary (:data:`DRILL_BINARY`) is pre-registered, the dbd
     pumps the journal every other heartbeat, and peer A starts as leader.
     ``config`` overrides the default deferred-scheduling slurm.conf (the
-    workflow smoke sets ``RescheduleRetries``); ``setup`` runs against
+    ``workflow`` gate sets ``RescheduleRetries``); ``setup`` runs against
     every (re)started controller — including the backup's takeover — so
     plugin chains (e.g. eco + a live prediction provider) survive
     failover exactly like re-reading slurm.conf does.
@@ -450,12 +450,6 @@ def run_failover_drill(
         if stats["crash_sim_t"] is None:
             stats["crash_sim_t"] = sim.now
 
-    def find_by_name(ctld: Slurmctld, name: str) -> Optional[int]:
-        for job in ctld.jobs.values():
-            if job.descriptor.name == name:
-                return job.job_id
-        return None
-
     def submit(i: int, retry: bool) -> None:
         if retry:
             stats["retries"] += 1
@@ -467,7 +461,7 @@ def run_failover_drill(
         if retry:
             # the failed attempt's journal record may have been durable
             # (ack lost): resubmitting blindly would duplicate the job
-            existing = find_by_name(ctld, f"drill-{i:05d}")
+            existing = ctld.job_by_name(f"drill-{i:05d}")
             if existing is not None:
                 job_ids[i] = existing
                 return

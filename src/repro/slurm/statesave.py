@@ -273,6 +273,7 @@ class StateSave:
         """Scan the journal, drop a torn tail, position the writer."""
         self._epoch = self._read_epoch()
         records, torn, _ = self._scan()
+        self._refuse_lost_records(records)
         # a journal compacted right after a snapshot is empty: continue
         # after the snapshot, or replay would skip the records that follow
         self._last_seq = records[-1].seq if records else self.latest_snapshot_seq()
@@ -403,9 +404,27 @@ class StateSave:
         return records, last or anchor
 
     def replay(self, after_seq: int = 0) -> Iterator[JournalRecord]:
-        for rec in self.read_records(after_seq):
+        records = self.read_records(after_seq)
+        if not after_seq:
+            self._refuse_lost_records(records)
+        for rec in records:
             telemetry.counter("journal_replayed_records_total").inc()
             yield rec
+
+    def _refuse_lost_records(self, records: list[JournalRecord]) -> None:
+        """Raise when an empty journal sits behind unreadable snapshots.
+
+        Compaction leaves the journal empty when a snapshot covers every
+        record.  If no snapshot file verifies, those records are gone:
+        positioning at seq 0 would let a fresh ``genesis`` record pass
+        replay's hole check and restore a controller with no jobs.
+        """
+        if records or not self._snapshot_files() or self.load_latest_snapshot():
+            return
+        raise JournalCorruptError(
+            f"the journal in {self.path} is empty and no snapshot verifies: "
+            "the compacted records are lost; refusing to start from nothing"
+        )
 
     # ------------------------------------------------------------------
     # snapshots

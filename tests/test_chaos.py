@@ -8,6 +8,9 @@ escapes a drill.
 """
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ def _clean_slate():
 
 
 SWEEP_KW = dict(points=4, seed=0, duration_s=30.0)
+GATE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "gate.py"
 
 
 class TestFlakyIpmiSweep:
@@ -163,16 +167,11 @@ class TestCliFaults:
 
 
 class TestChaosScripts:
-    def test_smoke_and_gate_pass(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "scripts")
-        try:
-            import check_chaos_gate
-            import run_chaos_smoke
-        finally:
-            sys.path.pop(0)
-        report = tmp_path / "chaos.json"
-        assert run_chaos_smoke.main(["--output", str(report), "--points", "4"]) == 0
-        assert check_chaos_gate.main([str(report)]) == 0
-        assert "CHAOS GATE OK" in capsys.readouterr().out
+    def test_smoke_and_gate_pass(self):
+        # the chaos gate as CI runs it, in an interpreter of its own
+        done = subprocess.run(
+            [sys.executable, str(GATE_SCRIPT), "chaos"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.startswith("chaos: OK")

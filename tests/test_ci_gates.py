@@ -1,122 +1,146 @@
-"""The check_* CI gate scripts, run against pass/fail report fixtures.
+"""The failure functions of ``scripts/gate.py``, fed healthy and broken records.
 
-Each gate script is a standalone argparse program (no package import), so
-these tests load them by file path and call ``main(argv)`` directly —
-the same entry point CI exercises — and assert on the exit status.
-A gate that cannot tell a healthy report from a broken one is worse than
-no gate: the fail fixtures each flip exactly one invariant.
+A gate is a drill plus a pure ``failures(record) -> list[str]``.  These
+tests build records by hand: a healthy one must give ``[]``, and each
+broken one flips exactly one invariant and must give a failure.  A gate
+that cannot tell a healthy record from a broken one is worse than no gate.
+The drills themselves run under ``python scripts/gate.py``.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from repro.faults.scenarios import ScenarioResult
+from repro.slurm.ha import FailoverReport
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_gate():
+    spec = importlib.util.spec_from_file_location("gate", ROOT / "scripts" / "gate.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def run_gate(module, argv) -> int:
-    """main(argv) exit status, whether the script returns or sys.exit()s."""
-    try:
-        return int(module.main(argv) or 0)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-
-def write_json(path: Path, doc: dict) -> str:
-    path.write_text(json.dumps(doc))
-    return str(path)
+gate = load_gate()
 
 
 # ----------------------------------------------------------------------
-# report fixtures: one healthy document per gate, mutated per test
+# healthy records, one function per gate, mutated per test
 # ----------------------------------------------------------------------
 
-def healthy_storm() -> dict:
+def healthy_telemetry() -> dict:
+    counters = [n for kind, n in gate.TELEMETRY_REQUIRED if kind == "counters"]
+    histograms = [n for kind, n in gate.TELEMETRY_REQUIRED if kind == "histograms"]
     return {
-        "jobs": 200,
+        "pytest_exit": 0,
+        "snapshot": {
+            "counters": [{"name": n, "labels": {}, "value": 3.0} for n in counters],
+            "gauges": [],
+            "histograms": [
+                {"name": n, "labels": {}, "count": 5, "p95": 0.0003} for n in histograms
+            ],
+        },
+    }
+
+
+def metric(record: dict, kind: str, name: str) -> dict:
+    return next(e for e in record["snapshot"][kind] if e["name"] == name)
+
+
+def healthy_chaos() -> dict:
+    return {
+        "sweep": ScenarioResult(
+            "sweep", "flaky-ipmi", total=8, completed=7, quarantined=1,
+            faults_fired={"ipmi.read": 12}, metrics={"ipmi_retries_total": 12.0},
+        ),
+        "storm": ScenarioResult(
+            "storm", "chronus-timeout", total=50, completed=50,
+            faults_fired={"predict.timeout": 3},
+            metrics={
+                "provider_calls": 0.0,
+                "eco_fallback_total": 50.0,
+                "eco_short_circuits_total": 47.0,
+            },
+        ),
+    }
+
+
+def healthy_storm(jobs: int = 200) -> dict:
+    return {
+        "jobs": jobs,
         "unanswered": 0,
         "mismatches": 0,
         "error_responses_seen": 0,
         "shed_responses_seen": 0,
         "latency_s": {"p50": 0.02, "p95": 0.05, "max": 0.09},
-        "batches": {"dispatched": 7, "mean": 28.6, "max": 32},
+        "batches": {"count": 7, "mean": 28.6, "max": 32},
         "metrics": {
-            "serve_requests_total": 200,
+            "serve_requests_total": jobs,
             "serve_shed_total": 0,
             "serve_handler_errors_total": 0,
         },
     }
 
 
-def healthy_pr6() -> dict:
+def healthy_serving() -> dict:
+    def run(jobs: int) -> dict:
+        return {
+            "storm": healthy_storm(jobs),
+            "throughput": {
+                "jobs": jobs,
+                "scalar": {"rps": 20000.0, "p50_ms": 0.04, "p95_ms": 0.09},
+                "batched": [
+                    {"batch_size": 4, "rps": 18000.0, "mismatches": 0},
+                    {"batch_size": 16, "rps": 50000.0, "mismatches": 0},
+                    {"batch_size": 64, "rps": 95000.0, "mismatches": 0},
+                ],
+            },
+        }
+
+    return {200: run(200), 1000: run(1000)}
+
+
+def healthy_registry() -> dict:
     return {
-        "schema": "chronus-bench-pr6/1",
-        "smoke": True,
-        "storm": healthy_storm(),
-        "throughput": {
-            "jobs": 200,
-            "scalar": {"rps": 20000.0, "p50_ms": 0.04, "p95_ms": 0.09},
-            "batched": [
-                {"batch_size": 4, "rps": 18000.0, "mismatches": 0},
-                {"batch_size": 16, "rps": 50000.0, "mismatches": 0},
-                {"batch_size": 64, "rps": 95000.0, "mismatches": 0},
-            ],
+        "requests": gate.REGISTRY_WORKERS * gate.REGISTRY_REQUESTS,
+        "errors": [],
+        "shed_total": 0.0,
+        "versions_seen": [1, 2],
+        "per_worker_monotonic": True,
+        "promoted_mid_storm": True,
+        "after_promote": 2,
+        "after_rollback": 1,
+        "alive_at_end": True,
+        "counters": {
+            "model_promotions_total": 2.0,
+            "model_rollbacks_total": 1.0,
+            "model_cache_stale_total": 3.0,
+            "model_shadow_checks_total": 18.0,
         },
-        "warm": {
-            "cold_first_request_ms": 0.5,
-            "warmed_first_request_ms": 0.05,
-            "speedup": 10.0,
-        },
-        "sweep": {"identical_results": True, "speedup": 1.2},
     }
 
 
-def healthy_bench(speedup: float = 10.0) -> dict:
-    return {
-        "schema": "chronus-bench-pr2/1",
-        "quick": True,
-        "kernels": {
-            "diagonal": {"loop_s": 0.04, "fast_s": 0.004, "speedup": speedup},
-        },
-        "hpcg": {"nx": 24, "total_flops": 85184912, "converged": True},
-        "sweep": {"identical_results": True, "spearman_rho": 0.958},
-    }
-
-
-def healthy_pr7() -> dict:
+def healthy_fleet_storm() -> dict:
     def des(n_jobs: int, eps: float) -> dict:
         return {
-            "n_nodes": 1000,
+            "n_nodes": 200,
             "n_jobs": n_jobs,
-            "queue_depth": 256,
-            "wall_s": 10.0,
-            "events": n_jobs * 3,
             "events_per_sec": eps,
             "jobs_started": n_jobs,
-            "jobs_finished": n_jobs,
-            "jobs_killed_at_limit": 0,
-            "kill_timer_tombstones": n_jobs,
             "compactions": 5,
-            "passes": n_jobs // 2,
-            "pass_ms": {"p50": 1.0, "p95": 2.0, "max": 9.0},
             "unfinished_jobs": 0,
         }
 
     return {
-        "schema": "chronus-bench-pr7/1",
-        "smoke": True,
         "scheduler": {
             "n_nodes": 1000,
             "queue_depth": 1000,
@@ -134,9 +158,6 @@ def healthy_pr7() -> dict:
         "serving_storm": {
             "clients": 10_000,
             "shards": 4,
-            "worker_threads": 64,
-            "wall_s": 1.5,
-            "rps": 6600.0,
             "unanswered": 0,
             "shed_responses_seen": 0,
             "error_responses_seen": 0,
@@ -144,41 +165,188 @@ def healthy_pr7() -> dict:
             "latency_s": {"p50": 0.008, "p95": 0.02, "max": 0.2},
             "fleet": {
                 "healthy_count": 4,
-                "requests_total": 10_000,
-                "failures_total": 0,
                 "per_shard_requests": {
                     "shard0": 2400, "shard1": 2700,
                     "shard2": 2300, "shard3": 2600,
                 },
-                "models_cached_total": 4,
-            },
-        },
-        "sweep": {
-            "points": 18,
-            "workers": 2,
-            "serial_wall_s": 40.0,
-            "parallel_wall_s": 38.0,
-            "speedup": 1.05,
-            "identical_results": True,
-            "kernel_cache": {
-                "nx": 20,
-                "first_build_s": 0.8,
-                "second_build_s": 0.05,
-                "problem_shared": True,
-                "reuse_speedup": 16.0,
             },
         },
     }
 
 
-class TestServingGate:
-    @pytest.fixture()
-    def gate(self):
-        return load_script("check_serving_gate")
+def healthy_failover(jobs: int) -> FailoverReport:
+    return FailoverReport(
+        jobs_total=jobs, submitted=jobs, completed=jobs, lost=0, duplicated=0,
+        retries=2, crashes_observed=1, takeovers=1, fenced_writes=0,
+        replayed_records=1487, journal_appends=3 * jobs, torn_tails=0,
+        recovery_wall_s=0.09, outage_sim_s=4.0, accounting_rows=jobs,
+        dbd_rows=jobs, dbd_duplicates_dropped=0, dbd_bootstraps=0,
+        final_leader="ctld-b", final_epoch=1, sim_time=1000.0,
+    )
 
-    def test_healthy_report_passes(self, gate, tmp_path):
-        report = write_json(tmp_path / "ok.json", healthy_storm())
-        assert run_gate(gate, [report]) == 0
+
+def healthy_ha() -> dict:
+    return {
+        "kill": healthy_failover(1000),
+        "kill+faults": healthy_failover(100),
+        "snapshots": healthy_failover(200),
+    }
+
+
+def healthy_dag_storm(diamonds: int, replayed: int) -> dict:
+    jobs = 4 * diamonds
+    return {
+        "diamonds": diamonds,
+        "jobs_total": jobs,
+        "submitted": jobs,
+        "terminal": jobs,
+        "stuck": 0,
+        "duplicated": 0,
+        "timeouts": jobs // 6,
+        "cancelled_never": diamonds // 4,
+        "dep_releases": 2 * jobs,
+        "reschedule_attempts": 161,
+        "reschedules_with_model": 161,
+        "model_versions_served": [1, 2],
+        "workflows": diamonds,
+        "dbd_workflows": diamonds,
+        "workflow_mismatches": 0,
+        "energy_ctld_j": 1.5e6,
+        "energy_dbd_j": 1.5e6,
+        "energy_diff_j": 0.0,
+        "takeovers": 1,
+        "replayed_records": replayed,
+    }
+
+
+def healthy_workflow() -> dict:
+    return {
+        "kill": healthy_dag_storm(250, replayed=2400),
+        "kill+chaos": healthy_dag_storm(50, replayed=30),
+        # a snapshot may have compacted everything the takeover needed
+        "compaction": healthy_dag_storm(50, replayed=0),
+    }
+
+
+def healthy_restd() -> dict:
+    return {
+        "jobs_total": 40,
+        "submitted": 40,
+        "lost": 0,
+        "duplicated": 0,
+        "leader_killed": True,
+        "takeovers": 1,
+        "outage_503_observed": 3,
+        "retry_after_missing": 0,
+        "retries_503": 1,
+        "cancel_ok": True,
+        "dbd_rows": 41,
+        "p95_ms": 4.2,
+        "requests_total": 77,
+        "failures": [],
+    }
+
+
+def healthy_bench(speedup: float = 10.0) -> dict:
+    return {
+        "kernels": {"diagonal": {"speedup": speedup}},
+        "hpcg": {"nx": 24, "total_flops": 85184912, "converged": True},
+        "sweep": {
+            "points": 138,
+            "workers": 2,
+            "serial_s": 5.4,
+            "pool_s": 3.1,
+            "identical_results": True,
+            "spearman_rho": 0.958,
+            "problem_shared": True,
+        },
+        "baseline": {
+            "kernels": {
+                "diagonal": {"speedup": 10.0},
+                "problem": {"nx": 24, "nrows": 13824, "nnz": 343000},
+            },
+            "hpcg": {"nx": 24, "total_flops": 85184912, "converged": True},
+        },
+    }
+
+
+# ----------------------------------------------------------------------
+# telemetry
+# ----------------------------------------------------------------------
+
+class TestTelemetryGate:
+    def test_healthy_record_passes(self):
+        assert gate.telemetry_failures(healthy_telemetry()) == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r.update(pytest_exit=1),
+            lambda r: r["snapshot"]["counters"].pop(),
+            lambda r: metric(r, "counters", "eco_applied_total").update(value=0.0),
+            lambda r: metric(r, "histograms", "sched_cycle_seconds").update(count=0),
+            lambda r: metric(r, "histograms", "eco_predict_seconds").update(p95=0.2),
+        ],
+        ids=[
+            "benchmarks-failed",
+            "missing-metric",
+            "idle-counter",
+            "empty-histogram",
+            "predict-p95-over-window",
+        ],
+    )
+    def test_broken_record_fails(self, mutate):
+        record = healthy_telemetry()
+        mutate(record)
+        assert gate.telemetry_failures(record)
+
+
+# ----------------------------------------------------------------------
+# chaos
+# ----------------------------------------------------------------------
+
+class TestChaosGate:
+    def test_healthy_record_passes(self):
+        assert gate.chaos_failures(healthy_chaos()) == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: setattr(r["sweep"], "unhandled_error", "OSError: boom"),
+            lambda r: setattr(r["sweep"], "completed", 6),
+            lambda r: r["sweep"].faults_fired.clear(),
+            lambda r: r["sweep"].metrics.update(ipmi_retries_total=0.0),
+            lambda r: setattr(r["storm"], "completed", 49) or setattr(r["storm"], "skipped", 1),
+            lambda r: setattr(r["storm"], "modified_jobs", 2),
+            lambda r: r["storm"].metrics.update(eco_fallback_total=49.0),
+            lambda r: r["storm"].metrics.update(eco_short_circuits_total=0.0),
+            lambda r: r["storm"].faults_fired.update({"predict.timeout": 7}),
+        ],
+        ids=[
+            "unhandled-exception",
+            "silent-drop",
+            "no-ipmi-faults",
+            "retry-path-idle",
+            "storm-jobs-unsubmitted",
+            "jobs-modified",
+            "fallback-skipped",
+            "breaker-never-opened",
+            "too-many-predict-attempts",
+        ],
+    )
+    def test_broken_record_fails(self, mutate):
+        record = healthy_chaos()
+        mutate(record)
+        assert gate.chaos_failures(record)
+
+
+# ----------------------------------------------------------------------
+# serving: the storm checks, then the whole gate at both sizes
+# ----------------------------------------------------------------------
+
+class TestServingGate:
+    def test_healthy_report_passes(self):
+        assert gate.serving_storm_failures(healthy_storm()) == []
 
     @pytest.mark.parametrize(
         "mutate",
@@ -204,90 +372,121 @@ class TestServingGate:
             "silent-shed",
         ],
     )
-    def test_broken_report_fails(self, gate, tmp_path, mutate):
-        doc = healthy_storm()
-        mutate(doc)
-        report = write_json(tmp_path / "bad.json", doc)
-        assert run_gate(gate, [report]) != 0
+    def test_broken_report_fails(self, mutate):
+        storm = healthy_storm()
+        mutate(storm)
+        assert gate.serving_storm_failures(storm)
 
-    def test_explicit_sheds_are_allowed(self, gate, tmp_path):
-        doc = healthy_storm()
-        doc["shed_responses_seen"] = 5
-        doc["metrics"]["serve_shed_total"] = 5
-        report = write_json(tmp_path / "shed.json", doc)
-        assert run_gate(gate, [report]) == 0
+    def test_explicit_sheds_are_allowed(self):
+        # every shed reached its caller; the whole gate still wants none
+        # at its storm sizes (TestPredictThroughputGate)
+        storm = healthy_storm()
+        storm["shed_responses_seen"] = 5
+        storm["metrics"]["serve_shed_total"] = 5
+        assert gate.serving_storm_failures(storm) == []
 
 
 class TestPredictThroughputGate:
-    @pytest.fixture()
-    def gate(self):
-        return load_script("check_predict_throughput_gate")
+    def test_healthy_report_passes(self):
+        assert gate.serving_failures(healthy_serving()) == []
 
-    def test_healthy_report_passes(self, gate, tmp_path):
-        report = write_json(tmp_path / "ok.json", healthy_pr6())
-        assert run_gate(gate, [report]) == 0
+    def test_batched_slower_than_scalar_fails(self):
+        record = healthy_serving()
+        throughput = record[1000]["throughput"]
+        for row in throughput["batched"]:
+            row["rps"] = throughput["scalar"]["rps"] * 0.5
+        assert gate.serving_failures(record)
 
-    def test_batched_slower_than_scalar_fails(self, gate, tmp_path):
-        doc = healthy_pr6()
-        for row in doc["throughput"]["batched"]:
-            row["rps"] = doc["throughput"]["scalar"]["rps"] * 0.5
-        report = write_json(tmp_path / "slow.json", doc)
-        assert run_gate(gate, [report]) != 0
-
-    def test_one_slow_batch_size_is_fine(self, gate, tmp_path):
+    def test_one_slow_batch_size_is_fine(self):
         # only the *best* batched rps is gated: tiny batches may lose to
         # scalar on dispatch overhead, the knee of the curve must not
-        doc = healthy_pr6()
-        doc["throughput"]["batched"][0]["rps"] = 1000.0
-        report = write_json(tmp_path / "knee.json", doc)
-        assert run_gate(gate, [report]) == 0
+        record = healthy_serving()
+        record[200]["throughput"]["batched"][0]["rps"] = 1000.0
+        assert gate.serving_failures(record) == []
 
-    def test_batched_mismatch_fails(self, gate, tmp_path):
-        doc = healthy_pr6()
-        doc["throughput"]["batched"][1]["mismatches"] = 1
-        report = write_json(tmp_path / "mismatch.json", doc)
-        assert run_gate(gate, [report]) != 0
+    def test_batched_mismatch_fails(self):
+        record = healthy_serving()
+        record[200]["throughput"]["batched"][1]["mismatches"] = 1
+        assert gate.serving_failures(record)
+
+    def test_no_batched_measurement_fails(self):
+        record = healthy_serving()
+        record[200]["throughput"]["batched"] = []
+        assert gate.serving_failures(record)
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda d: d["storm"].update(shed_responses_seen=1),
-            lambda d: d["storm"]["metrics"].update(serve_shed_total=2),
-            lambda d: d["storm"].update(unanswered=1),
-            lambda d: d["storm"].update(mismatches=1),
+            lambda d: d.update(shed_responses_seen=1),
+            lambda d: d["metrics"].update(serve_shed_total=2),
+            lambda d: d.update(unanswered=1),
+            lambda d: d.update(mismatches=1),
         ],
         ids=["shed-seen", "shed-counted", "unanswered", "storm-mismatch"],
     )
-    def test_storm_violations_fail(self, gate, tmp_path, mutate):
-        doc = healthy_pr6()
-        mutate(doc)
-        report = write_json(tmp_path / "storm.json", doc)
-        assert run_gate(gate, [report]) != 0
+    def test_storm_violations_fail(self, mutate):
+        record = healthy_serving()
+        mutate(record[1000]["storm"])
+        failures = gate.serving_failures(record)
+        assert failures and all(f.startswith("1000 jobs: ") for f in failures)
 
-    def test_wrong_schema_fails(self, gate, tmp_path):
-        doc = healthy_pr6()
-        doc["schema"] = "chronus-bench-pr2/1"
-        report = write_json(tmp_path / "schema.json", doc)
-        assert run_gate(gate, [report]) != 0
 
-    def test_min_speedup_flag_raises_the_bar(self, gate, tmp_path):
-        report = write_json(tmp_path / "ok.json", healthy_pr6())
-        assert run_gate(gate, [report, "--min-speedup", "2.0"]) == 0
-        assert run_gate(gate, [report, "--min-speedup", "10.0"]) != 0
+# ----------------------------------------------------------------------
+# registry
+# ----------------------------------------------------------------------
 
-    def test_committed_baseline_satisfies_the_gate(self, gate):
-        committed = SCRIPTS.parent / "BENCH_PR6.json"
-        assert run_gate(gate, [str(committed)]) == 0
+class TestRegistryGate:
+    def test_healthy_record_passes(self):
+        assert gate.registry_failures(healthy_registry()) == []
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r.update(errors=["TIMEOUT: no answer"]),
+            lambda r: r.update(shed_total=1.0),
+            lambda r: r.update(requests=119),
+            lambda r: r.update(promoted_mid_storm=False),
+            lambda r: r.update(alive_at_end=False),
+            lambda r: r.update(versions_seen=[1, 2, 3]),
+            lambda r: r.update(versions_seen=[1]),
+            lambda r: r.update(per_worker_monotonic=False),
+            lambda r: r.update(after_promote=1),
+            lambda r: r.update(after_rollback=2),
+            lambda r: r["counters"].update(model_promotions_total=1.0),
+            lambda r: r["counters"].update(model_rollbacks_total=0.0),
+            lambda r: r["counters"].update(model_cache_stale_total=0.0),
+            lambda r: r["counters"].update(model_shadow_checks_total=0.0),
+        ],
+        ids=[
+            "storm-errors",
+            "shed",
+            "unanswered",
+            "no-mid-storm-promotion",
+            "daemon-died",
+            "unexpected-version",
+            "promoted-version-never-served",
+            "version-flipped-back",
+            "stale-after-promote",
+            "rollback-ignored",
+            "promotions-counter",
+            "rollbacks-counter",
+            "stale-cache-counter",
+            "shadow-checks-counter",
+        ],
+    )
+    def test_broken_record_fails(self, mutate):
+        record = healthy_registry()
+        mutate(record)
+        assert gate.registry_failures(record)
+
+
+# ----------------------------------------------------------------------
+# storm
+# ----------------------------------------------------------------------
 
 class TestStormGate:
-    @pytest.fixture()
-    def gate(self):
-        return load_script("check_storm_gate")
-
-    def test_healthy_report_passes(self, gate, tmp_path):
-        report = write_json(tmp_path / "ok.json", healthy_pr7())
-        assert run_gate(gate, [report]) == 0
+    def test_healthy_report_passes(self):
+        assert gate.storm_failures(healthy_fleet_storm()) == []
 
     @pytest.mark.parametrize(
         "mutate",
@@ -310,9 +509,6 @@ class TestStormGate:
                 shard2=0
             ),
             lambda d: d["serving_storm"]["latency_s"].update(p95=2.0),
-            lambda d: d["sweep"].update(workers=1),
-            lambda d: d["sweep"].update(identical_results=False),
-            lambda d: d["sweep"]["kernel_cache"].update(problem_shared=False),
         ],
         ids=[
             "placement-mismatch",
@@ -331,106 +527,220 @@ class TestStormGate:
             "dead-shard",
             "idle-shard",
             "p95-over-budget",
-            "serial-sweep",
-            "sweep-divergence",
-            "cache-not-shared",
         ],
     )
-    def test_broken_report_fails(self, gate, tmp_path, mutate):
-        doc = healthy_pr7()
+    def test_broken_report_fails(self, mutate):
+        doc = healthy_fleet_storm()
         mutate(doc)
-        report = write_json(tmp_path / "bad.json", doc)
-        assert run_gate(gate, [report]) != 0
+        assert gate.storm_failures(doc)
 
-    def test_wrong_schema_fails(self, gate, tmp_path):
-        doc = healthy_pr7()
-        doc["schema"] = "chronus-bench-pr6/1"
-        report = write_json(tmp_path / "schema.json", doc)
-        assert run_gate(gate, [report]) != 0
 
-    def test_threshold_flags_raise_the_bar(self, gate, tmp_path):
-        report = write_json(tmp_path / "ok.json", healthy_pr7())
-        assert run_gate(gate, [report, "--min-sched-speedup", "10.0"]) != 0
-        assert run_gate(gate, [report, "--min-throughput-ratio", "0.95"]) != 0
-        assert run_gate(gate, [report, "--max-predict-p95-s", "0.01"]) != 0
+# ----------------------------------------------------------------------
+# ha
+# ----------------------------------------------------------------------
 
-    def test_committed_baseline_satisfies_the_gate(self, gate):
-        committed = SCRIPTS.parent / "BENCH_PR7.json"
-        assert run_gate(gate, [str(committed)]) == 0
+class TestHaGate:
+    def test_healthy_record_passes(self):
+        assert gate.ha_failures(healthy_ha()) == []
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # the drill's own checks: submissions, lost and duplicated
+            # jobs, takeovers, slurmdbd rows and joules
+            {"failures": ["3 job(s) lost"]},
+            {"replayed_records": 0},
+            {"accounting_rows": 999},
+            {"recovery_wall_s": 2.5},
+        ],
+        ids=["drill-failures", "nothing-replayed", "accounting-rows", "recovery-over-budget"],
+    )
+    def test_broken_record_fails(self, change):
+        record = healthy_ha()
+        record["kill"] = dataclasses.replace(record["kill"], **change)
+        assert gate.ha_failures(record)
+
+    def test_failures_name_their_variant(self):
+        record = healthy_ha()
+        record["snapshots"] = dataclasses.replace(record["snapshots"], replayed_records=0)
+        [failure] = gate.ha_failures(record)
+        assert failure.startswith("snapshots: ")
+
+
+# ----------------------------------------------------------------------
+# workflow
+# ----------------------------------------------------------------------
+
+class TestWorkflowGate:
+    def test_healthy_record_passes(self):
+        assert gate.workflow_failures(healthy_workflow()) == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(submitted=999),
+            lambda d: d.update(stuck=2),
+            lambda d: d.update(duplicated=1),
+            lambda d: d.update(takeovers=0),
+            lambda d: d.update(replayed_records=0),
+            lambda d: d.update(timeouts=0),
+            lambda d: d.update(reschedule_attempts=0, reschedules_with_model=0),
+            lambda d: d.update(reschedules_with_model=160),
+            lambda d: d.update(model_versions_served=[1]),
+            lambda d: d.update(cancelled_never=0),
+            lambda d: d.update(dep_releases=0),
+            lambda d: d.update(workflows=249, dbd_workflows=249),
+            lambda d: d.update(dbd_workflows=249),
+            lambda d: d.update(workflow_mismatches=1),
+            lambda d: d.update(energy_dbd_j=1.5e6 + 1.0, energy_diff_j=1.0),
+        ],
+        ids=[
+            "submissions-lost",
+            "stuck-jobs",
+            "duplicated-jobs",
+            "no-takeover",
+            "nothing-replayed",
+            "no-timeouts",
+            "retry-policy-idle",
+            "reschedule-not-repredicted",
+            "promotion-missed",
+            "no-never-satisfied",
+            "no-dep-release",
+            "workflow-count",
+            "dbd-workflow-count",
+            "workflow-mismatch",
+            "joules-double-counted",
+        ],
+    )
+    def test_broken_record_fails(self, mutate):
+        record = healthy_workflow()
+        mutate(record["kill"])
+        assert gate.workflow_failures(record)
+
+
+# ----------------------------------------------------------------------
+# restd
+# ----------------------------------------------------------------------
+
+class TestRestdGate:
+    def test_healthy_record_passes(self):
+        assert gate.restd_failures(healthy_restd()) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"failures": ["cancel answered 500: {}"]},
+            {"submitted": 39},
+            {"lost": 1},
+            {"duplicated": 1},
+            {"leader_killed": False},
+            {"takeovers": 0},
+            {"outage_503_observed": 0},
+            {"retry_after_missing": 1},
+            {"cancel_ok": False},
+            {"dbd_rows": 40},
+            {"p95_ms": 300.0},
+        ],
+        ids=[
+            "session-failures",
+            "submissions-lost",
+            "lost-jobs",
+            "duplicated-jobs",
+            "leader-never-killed",
+            "no-takeover",
+            "outage-unseen",
+            "retry-after-missing",
+            "cancel-failed",
+            "dbd-rows",
+            "p95-over-budget",
+        ],
+    )
+    def test_broken_record_fails(self, change):
+        record = healthy_restd()
+        record.update(change)
+        assert gate.restd_failures(record)
+
+
+# ----------------------------------------------------------------------
+# kernels: speedups against BENCH_PR2.json, HPCG flops, the pool sweep
+# ----------------------------------------------------------------------
 
 class TestBenchRegressionGate:
-    @pytest.fixture()
-    def gate(self):
-        return load_script("check_bench_regression")
+    def test_identical_runs_pass(self):
+        assert gate.kernels_failures(healthy_bench()) == []
 
-    def test_identical_runs_pass(self, gate, tmp_path):
-        fresh = write_json(tmp_path / "fresh.json", healthy_bench())
-        base = write_json(tmp_path / "base.json", healthy_bench())
-        assert run_gate(gate, [fresh, "--baseline", base]) == 0
+    def test_speedup_regression_fails(self):
+        # floor: 20% under the baseline's 10x
+        assert gate.kernels_failures(healthy_bench(speedup=5.0))
 
-    def test_speedup_regression_fails(self, gate, tmp_path):
-        fresh = write_json(tmp_path / "fresh.json", healthy_bench(speedup=5.0))
-        base = write_json(tmp_path / "base.json", healthy_bench(speedup=10.0))
-        assert run_gate(gate, [fresh, "--baseline", base, "--tolerance", "0.20"]) != 0
+    def test_tolerance_absorbs_small_drift(self):
+        assert gate.kernels_failures(healthy_bench(speedup=9.0)) == []
 
-    def test_tolerance_absorbs_small_drift(self, gate, tmp_path):
-        fresh = write_json(tmp_path / "fresh.json", healthy_bench(speedup=9.0))
-        base = write_json(tmp_path / "base.json", healthy_bench(speedup=10.0))
-        assert run_gate(gate, [fresh, "--baseline", base, "--tolerance", "0.20"]) == 0
+    def test_flop_total_drift_fails(self):
+        record = healthy_bench()
+        record["hpcg"]["total_flops"] += 1
+        assert gate.kernels_failures(record)
 
-    def test_flop_total_drift_fails(self, gate, tmp_path):
-        doc = healthy_bench()
-        doc["hpcg"]["total_flops"] += 1
-        fresh = write_json(tmp_path / "fresh.json", doc)
-        base = write_json(tmp_path / "base.json", healthy_bench())
-        assert run_gate(gate, [fresh, "--baseline", base]) != 0
+    def test_sweep_divergence_fails(self):
+        record = healthy_bench()
+        record["sweep"]["identical_results"] = False
+        assert gate.kernels_failures(record)
 
-    def test_sweep_divergence_fails(self, gate, tmp_path):
-        doc = healthy_bench()
-        doc["sweep"]["identical_results"] = False
-        fresh = write_json(tmp_path / "fresh.json", doc)
-        base = write_json(tmp_path / "base.json", healthy_bench())
-        assert run_gate(gate, [fresh, "--baseline", base]) != 0
+    def test_missing_kernel_fails(self):
+        record = healthy_bench()
+        del record["kernels"]["diagonal"]
+        assert gate.kernels_failures(record)
 
-    def test_missing_kernel_fails(self, gate, tmp_path):
-        doc = healthy_bench()
-        del doc["kernels"]["diagonal"]
-        fresh = write_json(tmp_path / "fresh.json", doc)
-        base = write_json(tmp_path / "base.json", healthy_bench())
-        assert run_gate(gate, [fresh, "--baseline", base]) != 0
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r["hpcg"].update(converged=False),
+            lambda r: r["sweep"].update(workers=1),
+            lambda r: r["sweep"].update(spearman_rho=0.91),
+            lambda r: r["sweep"].update(problem_shared=False),
+        ],
+        ids=["hpcg-diverged", "serial-sweep", "rho-below-floor", "cache-not-shared"],
+    )
+    def test_broken_record_fails(self, mutate):
+        record = healthy_bench()
+        mutate(record)
+        assert gate.kernels_failures(record)
+
+    def test_capped_speedups_compare_equal(self):
+        # a cache-hit path's raw ratio swings by orders of magnitude
+        record = healthy_bench(speedup=60.0)
+        record["baseline"]["kernels"]["diagonal"]["speedup"] = 2000.0
+        assert gate.kernels_failures(record) == []
 
 
 class TestCommittedArtifacts:
-    """The baselines CI gates against must stay loadable and well-formed."""
+    """The one baseline a gate still reads must stay loadable."""
 
-    def test_bench_pr7_schema(self):
-        doc = json.loads((SCRIPTS.parent / "BENCH_PR7.json").read_text())
-        assert doc["schema"] == "chronus-bench-pr7/1"
-        assert doc["smoke"] is False
-        sched = doc["scheduler"]
-        assert sched["n_nodes"] >= 1000 and sched["mismatches"] == 0
-        assert sched["speedup"] > 1.0
-        assert doc["des_storm"]["large"]["n_jobs"] >= 100_000
-        assert doc["des_storm"]["large"]["unfinished_jobs"] == 0
-        assert doc["serving_storm"]["clients"] >= 10_000
-        assert doc["serving_storm"]["shed_responses_seen"] == 0
-        assert doc["sweep"]["identical_results"] is True
-
-    def test_bench_pr6_schema(self):
-        doc = json.loads((SCRIPTS.parent / "BENCH_PR6.json").read_text())
-        assert doc["schema"] == "chronus-bench-pr6/1"
-        assert doc["throughput"]["scalar"]["rps"] > 0
-        batch_sizes = [row["batch_size"] for row in doc["throughput"]["batched"]]
-        assert batch_sizes == sorted(batch_sizes)
-        assert all(row["mismatches"] == 0 for row in doc["throughput"]["batched"])
-        assert doc["storm"]["shed_responses_seen"] == 0
-        assert doc["sweep"]["identical_results"] is True
+    def test_bench_pr2_holds_what_the_kernels_gate_reads(self):
+        doc = json.loads((ROOT / "BENCH_PR2.json").read_text())
+        speedups = {name for name, k in doc["kernels"].items() if "speedup" in k}
+        assert speedups == {"diagonal", "subset_matvec", "todense", "multicolor_setup"}
+        assert doc["hpcg"]["nx"] == 24 and doc["hpcg"]["total_flops"] > 0
 
     def test_fixture_mutations_are_isolated(self):
-        # paranoia: healthy_* builders must return fresh documents, or one
+        # paranoia: healthy_* functions must return fresh documents, or one
         # test's mutation would leak into the next
-        a, b = healthy_pr6(), healthy_pr6()
-        a["storm"]["mismatches"] = 99
-        assert b["storm"]["mismatches"] == 0
+        a, b = healthy_serving(), healthy_serving()
+        a[200]["storm"]["mismatches"] = 99
+        assert b[200]["storm"]["mismatches"] == 0
         assert copy.deepcopy(a) == a
+        c, d = healthy_chaos(), healthy_chaos()
+        c["sweep"].faults_fired.clear()
+        assert d["sweep"].faults_fired
+
+
+class TestRunner:
+    def test_nine_gates(self):
+        assert list(gate.GATES) == [
+            "telemetry", "chaos", "serving", "registry", "storm",
+            "ha", "workflow", "restd", "kernels",
+        ]
+
+    def test_unknown_gate_name_exits_2(self, capsys):
+        assert gate.main(["nope"]) == 2
+        assert "unknown gate 'nope'" in capsys.readouterr().err

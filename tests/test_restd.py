@@ -628,3 +628,25 @@ class TestFailover:
         # and the failed submit finally lands as a fresh job
         status, _, late = stack.submit("late-arrival")
         assert status == 201
+
+    def test_array_retry_after_snapshot_takeover_answers_the_master(self, stack):
+        for i in range(8):
+            stack.submit(f"single-{i}")
+        _, _, first = stack.submit("arr", array=[0, 1, 2])
+        assert first["job_id"] == 9
+        with stack.gateway.lock:
+            leader = stack.drill.plane.leader()
+            stack.drill.statesave.write_snapshot(
+                leader.capture_state(), epoch=leader.epoch,
+                time=stack.drill.sim.now,
+            )
+            stack.drill.leader_peer().kill()
+        stack.advance(3 * stack.drill.lease_s)
+
+        # the new leader's job table came back from the snapshot in
+        # key-string order (1, 10, 11, 2, ...): the retry must still get
+        # the array's master id, not a task's
+        status, _, again = stack.submit("arr", array=[0, 1, 2])
+        assert (status, again["deduplicated"]) == (200, True)
+        assert again["job_id"] == first["job_id"]
+        assert again["task_ids"] == first["task_ids"]

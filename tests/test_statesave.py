@@ -489,6 +489,40 @@ class TestJournalFixture:
             self._restore(ss)
         ss.close()
 
+    def test_restore_refuses_an_empty_journal_without_a_readable_snapshot(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        live = self._restore(ss)
+        name = ss.write_snapshot(
+            live.capture_state(), epoch=live.epoch, time=live.sim.now
+        )
+        assert ss.compact() == expected["records"]
+        with open(os.path.join(path, name), "a", encoding="utf-8") as fh:
+            fh.write("garbage")
+        # every job lived only in that snapshot: the open state-save, a
+        # slurmdbd on it and a reopened one all refuse, and no fresh
+        # genesis lands in the journal
+        with pytest.raises(JournalCorruptError):
+            self._restore(ss)
+        with pytest.raises(JournalCorruptError):
+            SlurmDbd(ss).pump()
+        ss.close()
+        with pytest.raises(JournalCorruptError):
+            self._restore(StateSave(path, fsync=False))
+        assert os.path.getsize(os.path.join(path, "journal.log")) == 0
+
+    def test_dbd_refuses_a_hole_after_compaction(self, saved):
+        path, expected = saved
+        ss = StateSave(path, fsync=False)
+        assert ss.compact() == expected["snapshot_seq"]
+        newest = f"snapshot-{expected['snapshot_seq']:012d}.json"
+        with open(os.path.join(path, newest), "a", encoding="utf-8") as fh:
+            fh.write("garbage")
+        # applying the suffix alone would fold records onto jobs it lacks
+        with pytest.raises(JournalCorruptError, match="hole"):
+            SlurmDbd(ss).pump()
+        ss.close()
+
     def test_fresh_dbd_bills_the_recorded_joules(self, saved):
         path, expected = saved
         ss = StateSave(path, fsync=False)

@@ -74,6 +74,12 @@ class TestDeterminism:
         assert serial == parallel
         assert [r.configuration for r in serial] == SMALL_SWEEP
 
+    def test_pool_is_joined_before_run_sweep_returns(self):
+        # a worker still alive at interpreter exit races the pool's exit
+        # hook ("OSError: [Errno 9] Bad file descriptor")
+        make_executor(workers=2).run_sweep(small_points())
+        assert multiprocessing.active_children() == []
+
     def test_point_seed_depends_only_on_configuration(self):
         a = point_seed(11, SMALL_SWEEP[0])
         assert a == point_seed(11, SMALL_SWEEP[0])
