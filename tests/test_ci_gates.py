@@ -682,9 +682,12 @@ class TestBenchRegressionGate:
         assert gate.kernels_failures(record)
 
     def test_sweep_divergence_fails(self):
+        # one broken condition yields exactly one failure line that names it
         record = healthy_bench()
         record["sweep"]["identical_results"] = False
-        assert gate.kernels_failures(record)
+        assert gate.kernels_failures(record) == [
+            "the pool sweep's rows differ from the serial sweep's"
+        ]
 
     def test_missing_kernel_fails(self):
         record = healthy_bench()
@@ -696,10 +699,17 @@ class TestBenchRegressionGate:
         [
             lambda r: r["hpcg"].update(converged=False),
             lambda r: r["sweep"].update(workers=1),
+            lambda r: r["sweep"].update(identical_results=False),
             lambda r: r["sweep"].update(spearman_rho=0.91),
             lambda r: r["sweep"].update(problem_shared=False),
         ],
-        ids=["hpcg-diverged", "serial-sweep", "rho-below-floor", "cache-not-shared"],
+        ids=[
+            "hpcg-diverged",
+            "serial-sweep",
+            "sweep-divergence",
+            "rho-below-floor",
+            "cache-not-shared",
+        ],
     )
     def test_broken_record_fails(self, mutate):
         record = healthy_bench()
