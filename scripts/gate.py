@@ -598,108 +598,111 @@ def workflow_storm(
         config=SlurmConfig(sched_defer=True, job_submit_plugins=("eco",), reschedule_retries=1),
         setup=setup,
     )
-    sim, plane = drill.sim, drill.plane
-    submitted: dict[str, int] = {}  # job name -> id on the final leader
-
-    def submit_diamond(i: int, retry: bool) -> None:
-        try:
-            ctld = plane.leader()
-        except NoLeaderError:
-            sim.call_in(heartbeat_s, lambda: submit_diamond(i, retry=True))
-            return
-        try:
-            ids: dict[str, int] = {}
-            for role, preds in DIAMOND:
-                name = f"wf-{i:04d}-{role}"
-                # a retried submission's first record may be durable (ack lost)
-                job_id = ctld.job_by_name(name) if retry else None
-                if job_id is None:
-                    job_id = ctld.submit(
-                        JobDescriptor(
-                            name=name,
-                            num_tasks=1,
-                            binary=DRILL_BINARY,
-                            time_limit_s=WORKFLOW_TIME_LIMIT_S,
-                            workflow=f"wf-{i:04d}",
-                            dependency=tuple(("afterok", ids[p]) for p in preds),
-                        )
-                    )
-                ids[role] = submitted[name] = job_id
-        except (ControllerCrashError, StaleEpochError):
-            sim.call_in(heartbeat_s, lambda: submit_diamond(i, retry=True))
-
-    for i in range(diamonds):
-        sim.call_at(i * submit_interval_s, lambda i=i: submit_diamond(i, retry=False), name=f"diamond-{i}")
-    kill_t = diamonds * submit_interval_s * 0.5
-    sim.call_at(kill_t, lambda: drill.leader_peer().kill(), name="sigkill-leader")
-    # promote the model mid-storm so reschedules pick up the new version
-    sim.call_at(kill_t + 1.0, lambda: setattr(provider, "version", 2))
-
-    jobs_total = diamonds * len(DIAMOND)
-
-    def all_done() -> bool:
-        if len(submitted) < jobs_total:
-            return False
-        try:
-            ctld = plane.leader()
-        except NoLeaderError:
-            return False
-        return all(ctld.jobs[jid].state.is_terminal for jid in submitted.values() if jid in ctld.jobs)
-
-    horizon = max(lease_s, heartbeat_s * 2)
-    for _ in range(int(diamonds * submit_interval_s / horizon) + 10_000):
-        try:
-            sim.run(until=sim.now + horizon)
-        except (ControllerCrashError, StaleEpochError):
-            pass  # the leader died mid-event; supervision restarts it below
-        drill.restart_dead_peers()
-        if all_done():
-            break
-
     try:
-        final = plane.leader()
-    finally:
-        if fault_profile:
-            faults.reset()
-    drill.dbd.pump()
+        sim, plane = drill.sim, drill.plane
+        submitted: dict[str, int] = {}  # job name -> id on the final leader
 
-    jobs = list(final.jobs.values())
-    names = [j.descriptor.name for j in jobs]
-    reschedules = [a for j in jobs for a in j.attempts if a["reason"] == "reschedule"]
-    mine = workflow_rollup(jobs)
-    theirs = drill.dbd.workflows()
-    energy_ctld = sum(r["total_energy_j"] for r in mine.values())
-    energy_dbd = sum(r["total_energy_j"] for r in theirs.values())
-    terminal = sum(1 for j in jobs if j.state.is_terminal)
-    return {
-        "diamonds": diamonds,
-        "jobs_total": jobs_total,
-        "submitted": len(submitted),
-        "terminal": terminal,
-        "stuck": len(submitted) - terminal,
-        "duplicated": len(names) - len(set(names)),
-        "timeouts": sum(1 for j in jobs if j.state.value == "TIMEOUT"),
-        "cancelled_never": sum(1 for j in jobs if j.pending_reason == "DependencyNeverSatisfied"),
-        "dep_releases": sum(1 for j in jobs for a in j.attempts if a["reason"] == "dep_release"),
-        "reschedule_attempts": len(reschedules),
-        "reschedules_with_model": sum(1 for a in reschedules if a["model_id"]),
-        "model_versions_served": sorted({a["model_version"] for j in jobs for a in j.attempts if a["model_id"]}),
-        "workflows": len(mine),
-        "dbd_workflows": len(theirs),
-        "workflow_mismatches": sum(
-            1
-            for wid, roll in mine.items()
-            if wid not in theirs
-            or abs(theirs[wid]["total_energy_j"] - roll["total_energy_j"]) > 1e-6
-            or theirs[wid]["attempts"] != roll["attempts"]
-            or theirs[wid]["models"] != roll["models"]
-        ),
-        "energy_ctld_j": energy_ctld,
-        "energy_dbd_j": energy_dbd,
-        "energy_diff_j": abs(energy_ctld - energy_dbd),
-        "takeovers": sum(p.takeovers for p in drill.peers),
-        "replayed_records": final.last_restore_replayed,
-    }
+        def submit_diamond(i: int, retry: bool) -> None:
+            try:
+                ctld = plane.leader()
+            except NoLeaderError:
+                sim.call_in(heartbeat_s, lambda: submit_diamond(i, retry=True))
+                return
+            try:
+                ids: dict[str, int] = {}
+                for role, preds in DIAMOND:
+                    name = f"wf-{i:04d}-{role}"
+                    # a retried submission's first record may be durable (ack lost)
+                    job_id = ctld.job_by_name(name) if retry else None
+                    if job_id is None:
+                        job_id = ctld.submit(
+                            JobDescriptor(
+                                name=name,
+                                num_tasks=1,
+                                binary=DRILL_BINARY,
+                                time_limit_s=WORKFLOW_TIME_LIMIT_S,
+                                workflow=f"wf-{i:04d}",
+                                dependency=tuple(("afterok", ids[p]) for p in preds),
+                            )
+                        )
+                    ids[role] = submitted[name] = job_id
+            except (ControllerCrashError, StaleEpochError):
+                sim.call_in(heartbeat_s, lambda: submit_diamond(i, retry=True))
+
+        for i in range(diamonds):
+            sim.call_at(i * submit_interval_s, lambda i=i: submit_diamond(i, retry=False), name=f"diamond-{i}")
+        kill_t = diamonds * submit_interval_s * 0.5
+        sim.call_at(kill_t, lambda: drill.leader_peer().kill(), name="sigkill-leader")
+        # promote the model mid-storm so reschedules pick up the new version
+        sim.call_at(kill_t + 1.0, lambda: setattr(provider, "version", 2))
+
+        jobs_total = diamonds * len(DIAMOND)
+
+        def all_done() -> bool:
+            if len(submitted) < jobs_total:
+                return False
+            try:
+                ctld = plane.leader()
+            except NoLeaderError:
+                return False
+            return all(ctld.jobs[jid].state.is_terminal for jid in submitted.values() if jid in ctld.jobs)
+
+        horizon = max(lease_s, heartbeat_s * 2)
+        for _ in range(int(diamonds * submit_interval_s / horizon) + 10_000):
+            try:
+                sim.run(until=sim.now + horizon)
+            except (ControllerCrashError, StaleEpochError):
+                pass  # the leader died mid-event; supervision restarts it below
+            drill.restart_dead_peers()
+            if all_done():
+                break
+
+        try:
+            final = plane.leader()
+        finally:
+            if fault_profile:
+                faults.reset()
+        drill.dbd.pump()
+
+        jobs = list(final.jobs.values())
+        names = [j.descriptor.name for j in jobs]
+        reschedules = [a for j in jobs for a in j.attempts if a["reason"] == "reschedule"]
+        mine = workflow_rollup(jobs)
+        theirs = drill.dbd.workflows()
+        energy_ctld = sum(r["total_energy_j"] for r in mine.values())
+        energy_dbd = sum(r["total_energy_j"] for r in theirs.values())
+        terminal = sum(1 for j in jobs if j.state.is_terminal)
+        return {
+            "diamonds": diamonds,
+            "jobs_total": jobs_total,
+            "submitted": len(submitted),
+            "terminal": terminal,
+            "stuck": len(submitted) - terminal,
+            "duplicated": len(names) - len(set(names)),
+            "timeouts": sum(1 for j in jobs if j.state.value == "TIMEOUT"),
+            "cancelled_never": sum(1 for j in jobs if j.pending_reason == "DependencyNeverSatisfied"),
+            "dep_releases": sum(1 for j in jobs for a in j.attempts if a["reason"] == "dep_release"),
+            "reschedule_attempts": len(reschedules),
+            "reschedules_with_model": sum(1 for a in reschedules if a["model_id"]),
+            "model_versions_served": sorted({a["model_version"] for j in jobs for a in j.attempts if a["model_id"]}),
+            "workflows": len(mine),
+            "dbd_workflows": len(theirs),
+            "workflow_mismatches": sum(
+                1
+                for wid, roll in mine.items()
+                if wid not in theirs
+                or abs(theirs[wid]["total_energy_j"] - roll["total_energy_j"]) > 1e-6
+                or theirs[wid]["attempts"] != roll["attempts"]
+                or theirs[wid]["models"] != roll["models"]
+            ),
+            "energy_ctld_j": energy_ctld,
+            "energy_dbd_j": energy_dbd,
+            "energy_diff_j": abs(energy_ctld - energy_dbd),
+            "takeovers": sum(p.takeovers for p in drill.peers),
+            "replayed_records": final.last_restore_replayed,
+        }
+    finally:
+        drill.close()
 
 
 def workflow_drill() -> dict:
@@ -928,6 +931,7 @@ def restd_drill() -> dict:
         finally:
             pump.stop()
             server.stop()
+            drill.close()
         stats["takeovers"] = sum(p.takeovers for p in drill.peers)
         stats["dbd_rows"] = len(drill.dbd.jobs())
     stats["requests_total"] = len(client.latencies_ms)

@@ -560,6 +560,7 @@ def _cmd_restd(args: argparse.Namespace) -> int:
     finally:
         pump.stop()
         daemon.stop()
+        drill.close()
     print(f"chronus restd: exiting after {daemon.requests_served} requests")
     return 0
 

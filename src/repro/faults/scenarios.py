@@ -344,6 +344,7 @@ def run_restd_scenario(
             result.faults_fired = faults.active().fired_counts()
             faults.reset()
             server.stop()
+            drill.close()
             result.metrics = _collect(_RESTD_METRICS, baseline)
     return result
 

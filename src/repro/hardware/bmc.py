@@ -76,6 +76,9 @@ class BoardManagementController:
     def read_sensor(self, name: str) -> SensorReading:
         """Sample one sensor at the current simulated time."""
         now = self.node.sim.now
+        if name == "CPU_Temp":
+            value = self.node.cpu_temp_c + self._rng.normal(0.0, self.temp_noise_c)
+            return SensorReading(now, name, round(value, 1), "degrees C")
         bd = self.node.instantaneous_power()
         if name == "Total_Power":
             value = bd.system_w * self.power_scale + self._rng.normal(0.0, self.noise_w)
@@ -83,9 +86,6 @@ class BoardManagementController:
         if name == "CPU_Power":
             value = bd.cpu_w * self.power_scale + self._rng.normal(0.0, self.noise_w)
             return SensorReading(now, name, max(0.0, round(value)), "Watts")
-        if name == "CPU_Temp":
-            value = self.node.cpu_temp_c + self._rng.normal(0.0, self.temp_noise_c)
-            return SensorReading(now, name, round(value, 1), "degrees C")
         raise KeyError(f"unknown sensor {name!r}; available: {self.SENSORS}")
 
     def read_all(self) -> list[SensorReading]:

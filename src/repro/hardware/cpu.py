@@ -130,9 +130,16 @@ class CpuSpec:
         return freq_khz
 
     def nearest_frequency(self, freq_khz: float) -> int:
-        """Snap an arbitrary kHz value to the nearest advertised P-state."""
-        freqs = np.asarray(self.frequencies_khz, dtype=float)
-        return int(self.frequencies_khz[int(np.argmin(np.abs(freqs - freq_khz)))])
+        """Snap an arbitrary kHz value to the nearest advertised P-state.
+
+        A value exactly between two P-states snaps to the lower one, and so
+        does NaN or an infinity (every distance compares equal).  Distances
+        are taken in floating point, so this matches a numpy
+        ``argmin(abs(freqs - f))`` bit for bit without building an array
+        per call.
+        """
+        target = float(freq_khz)
+        return min(self.frequencies_khz, key=lambda f: abs(f - target))
 
     def voltage(self, freq_khz: float) -> float:
         return self.voltage_curve.voltage(freq_khz)

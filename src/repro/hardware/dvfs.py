@@ -49,6 +49,12 @@ class CpufreqPolicy:
     ``scaling_min_freq``/``scaling_max_freq`` bound what any governor may
     pick — this is the knob `job_submit_eco` turns via Slurm's
     ``--cpu-freq=<min>[-<max>]`` job parameter.
+
+    The clipped window (:meth:`allowed_freqs`) is computed when those
+    bounds change, not on every governor decision.  :meth:`adopt` copies
+    one policy's outcome onto another: a node sets up (or resets) the
+    first core of an allocation and hands the result to the other cores
+    instead of repeating the same steps core by core.
     """
 
     spec: CpuSpec
@@ -59,6 +65,9 @@ class CpufreqPolicy:
     up_threshold: float = 0.80
     down_threshold: float = 0.40
     _current: int = field(default=0, repr=False)
+    #: the clipped window and the (min, max) bounds it was computed for
+    _window: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _window_bounds: tuple[int, int] = field(default=(0, 0), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scaling_min_freq == 0:
@@ -84,16 +93,22 @@ class CpufreqPolicy:
 
     def allowed_freqs(self) -> list[int]:
         """Advertised P-states clipped to the scaling min/max window."""
-        freqs = [
-            f
-            for f in self.spec.frequencies_khz
-            if self.scaling_min_freq <= f <= self.scaling_max_freq
-        ]
-        if not freqs:
-            # A window between two P-states: fall back to the nearest state
-            # below the max bound, mirroring the kernel's clamping.
-            freqs = [self.spec.nearest_frequency(self.scaling_max_freq)]
-        return freqs
+        return list(self._allowed())
+
+    def _allowed(self) -> tuple[int, ...]:
+        bounds = (self.scaling_min_freq, self.scaling_max_freq)
+        if bounds != self._window_bounds:
+            lo, hi = bounds
+            freqs = self.spec.frequencies_khz
+            if not (lo <= freqs[0] and freqs[-1] <= hi):  # else every P-state fits
+                freqs = tuple([f for f in freqs if lo <= f <= hi])
+            if not freqs:
+                # A window between two P-states: fall back to the nearest
+                # state below the max bound, mirroring the kernel's clamping.
+                freqs = (self.spec.nearest_frequency(hi),)
+            self._window = freqs
+            self._window_bounds = bounds
+        return self._window
 
     def set_governor(self, governor: Governor | str) -> None:
         self.governor = Governor.parse(governor) if isinstance(governor, str) else governor
@@ -105,12 +120,41 @@ class CpufreqPolicy:
         Values are snapped to the nearest advertised P-state, like the
         kernel does when a requested frequency is not an exact P-state.
         """
+        self.set_snapped_bounds(
+            None if min_khz is None else self.spec.nearest_frequency(min_khz),
+            None if max_khz is None else self.spec.nearest_frequency(max_khz),
+        )
+
+    def set_snapped_bounds(
+        self, min_khz: Optional[int] = None, max_khz: Optional[int] = None
+    ) -> None:
+        """:meth:`set_bounds` for values already snapped to P-states.
+
+        A node snaps a job's window once and applies it to every core of
+        the allocation through this.
+        """
         if min_khz is not None:
-            self.scaling_min_freq = self.spec.nearest_frequency(min_khz)
+            self.scaling_min_freq = min_khz
         if max_khz is not None:
-            self.scaling_max_freq = self.spec.nearest_frequency(max_khz)
+            self.scaling_max_freq = max_khz
         self._validate_bounds()
         self._current = self._clamp(self._current)
+
+    def adopt(self, other: "CpufreqPolicy") -> None:
+        """Take ``other``'s governor, window, setpoint and running frequency.
+
+        The caller vouches that the same steps on this policy would have
+        ended in the same state (the policies were equal before, or the
+        steps ignore prior state, as :meth:`reset` does).  The thresholds
+        are not copied; the equality the caller checked covers them.
+        """
+        self.governor = other.governor
+        self.scaling_min_freq = other.scaling_min_freq
+        self.scaling_max_freq = other.scaling_max_freq
+        self.userspace_setpoint = other.userspace_setpoint
+        self._current = other._current
+        self._window = other._window
+        self._window_bounds = other._window_bounds
 
     def set_userspace(self, freq_khz: int) -> None:
         self.governor = Governor.USERSPACE
@@ -141,13 +185,13 @@ class CpufreqPolicy:
         return self._current
 
     def _clamp(self, freq: int) -> int:
-        allowed = self.allowed_freqs()
+        allowed = self._allowed()
         if freq in allowed:
             return freq
         return min(allowed, key=lambda f: abs(f - freq))
 
     def _resolve(self, utilization: float) -> int:
-        allowed = self.allowed_freqs()
+        allowed = self._allowed()
         if self.governor is Governor.PERFORMANCE:
             return allowed[-1]
         if self.governor is Governor.POWERSAVE:

@@ -10,6 +10,12 @@
   the BMC sensors and the ground-truth wattmeter sample;
 * integrates *true* consumed energy continuously (trapezoidal between state
   changes) so sampling-cadence experiments can measure integration error;
+* computes each power breakdown once per simulated instant: the three IPMI
+  sensor reads of one sample and the thermal sub-step that ends at that
+  instant share one result, and a running job's active-core watts are
+  worked out once per (compute fraction, utilization) phase;
+* snaps a job's ``--cpu-freq`` window once per allocation and sets up one
+  core's policy, which every alike core of the allocation then adopts;
 * exposes a small virtual filesystem (``/proc/cpuinfo``, ``/proc/meminfo``,
   ``/sys/devices/system/cpu/...``) because both Chronus and the paper's C
   plugin identify the system by reading those files.
@@ -18,7 +24,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hardware.cpu import CpuSpec, AMD_EPYC_7502P
@@ -42,6 +48,13 @@ class Workload(abc.ABC):
     ``threads_per_core``) and their behaviour as functions of elapsed run
     time, which lets the node compute exact instantaneous power at any
     simulated instant without per-tick stepping.
+
+    Contract: :meth:`compute_fraction`, :meth:`bandwidth_gbs`,
+    :meth:`utilization` and :meth:`power_modulation` are pure functions of
+    ``elapsed_s`` — the same argument always gives the same value, whatever
+    was asked before.  The node relies on this when it reuses a breakdown
+    for a repeated instant and a job's active-core watts for a repeated
+    ``(compute_fraction, utilization)`` pair.
     """
 
     name: str = "workload"
@@ -102,13 +115,27 @@ class RunningWorkload:
     core_ids: tuple[int, ...]
     start_time: float
     freq_khz: int
+    #: the last ``(compute_fraction, utilization)`` and the active-core
+    #: watts :meth:`PowerModel.breakdown` gave for it (temperature-free)
+    active_key: Optional[tuple[float, float]] = field(default=None, init=False, repr=False, compare=False)
+    active_w: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def elapsed(self, now: float) -> float:
         return max(0.0, now - self.start_time)
 
 
 class SimulatedNode:
-    """A single simulated compute node (see module docstring)."""
+    """A single simulated compute node (see module docstring).
+
+    Power is piecewise: between lifecycle events the node's breakdown is a
+    function of the simulated instant and the die temperature only (the
+    :class:`Workload` contract).  So the node keeps the last breakdown it
+    computed, keyed by exactly ``(now, temp_c)``, and answers a repeated
+    instant from it; :meth:`start_workload` and :meth:`stop_workload`
+    clear it.  A reused breakdown is the object a recomputation would have
+    built field for field, so energy, temperature and sensor values are
+    bit-identical to computing every breakdown from scratch.
+    """
 
     def __init__(
         self,
@@ -134,6 +161,8 @@ class SimulatedNode:
         self._last_cpu_w = self.power_model.idle_breakdown(self.thermal.temp_c).cpu_w
         self._true_energy_j = 0.0
         self._last_sys_w = self.power_model.idle_breakdown(self.thermal.temp_c).system_w
+        self._instant: Optional[tuple[float, float]] = None
+        self._instant_bd: Optional[PowerBreakdown] = None
 
     # ------------------------------------------------------------------
     # allocation and workload lifecycle
@@ -166,8 +195,8 @@ class SimulatedNode:
         """Place ``workload`` on free cores; returns an opaque handle.
 
         The allocated cores get the requested ``--cpu-freq`` window applied
-        (snapped to P-states); their governors then resolve the running
-        frequency at full utilization.
+        (snapped to P-states once per job, not per core); their governors
+        then resolve the running frequency at full utilization.
         """
         free = self.free_core_ids()
         if workload.cores > len(free):
@@ -178,19 +207,32 @@ class SimulatedNode:
             raise NodeError(f"workload must request at least one core, got {workload.cores}")
         self._refresh(self.sim.now)
         core_ids = tuple(free[: workload.cores])
-        for cid in core_ids:
-            pol = self.policies[cid]
+        if isinstance(governor, str):
+            governor = Governor.parse(governor)
+        lo = None if freq_min_khz is None else self.spec.nearest_frequency(freq_min_khz)
+        hi = None if freq_max_khz is None else self.spec.nearest_frequency(freq_max_khz)
+        policies = [self.policies[cid] for cid in core_ids]
+        lead = policies[0]
+        # A core whose policy equals the first core's (free cores all sit
+        # at platform defaults) ends where the first one does: it takes
+        # the first core's result instead of repeating the steps.
+        alike = [False] + [pol == lead for pol in policies[1:]]
+        for pol, same in zip(policies, alike):
+            if same:
+                pol.adopt(lead)
+                continue
             if governor is not None:
                 pol.set_governor(governor)
-            if freq_min_khz is not None or freq_max_khz is not None:
-                pol.set_bounds(freq_min_khz, freq_max_khz)
+            if lo is not None or hi is not None:
+                pol.set_snapped_bounds(lo, hi)
             pol.update(utilization=1.0)
-        freq = self.policies[core_ids[0]].current_freq_khz
+        freq = lead.current_freq_khz
         handle = self._next_handle
         self._next_handle += 1
         self._running[handle] = RunningWorkload(
             workload=workload, core_ids=core_ids, start_time=self.sim.now, freq_khz=freq
         )
+        self._instant = None
         return handle
 
     def stop_workload(self, handle: int) -> Workload:
@@ -199,8 +241,12 @@ class SimulatedNode:
             raise NodeError(f"unknown workload handle {handle}")
         self._refresh(self.sim.now)
         rw = self._running.pop(handle)
-        for cid in rw.core_ids:
-            self.policies[cid].reset()
+        self._instant = None
+        # reset() ignores a policy's prior state, so one reset serves all
+        lead = self.policies[rw.core_ids[0]]
+        lead.reset()
+        for cid in rw.core_ids[1:]:
+            self.policies[cid].adopt(lead)
         return rw.workload
 
     def running_workloads(self) -> list[RunningWorkload]:
@@ -215,28 +261,40 @@ class SimulatedNode:
     # power and thermal state
     # ------------------------------------------------------------------
     def _operating_breakdown(self, now: float, temp_c: float) -> PowerBreakdown:
+        """The breakdown at ``(now, temp_c)``, computed once per instant."""
+        if self._instant == (now, temp_c):
+            return self._instant_bd
+        bd = self._compute_breakdown(now, temp_c)
+        self._instant = (now, temp_c)
+        self._instant_bd = bd
+        return bd
+
+    def _compute_breakdown(self, now: float, temp_c: float) -> PowerBreakdown:
         """Combine all running workloads into one instantaneous breakdown."""
         p = self.power_model.params
         total_active = 0
         active_w = 0.0
         bw = 0.0
-        ht_any = 1
         for rw in self._running.values():
             wl = rw.workload
             el = rw.elapsed(now)
-            single = self.power_model.breakdown(
-                wl.cores,
-                wl.threads_per_core,
-                rw.freq_khz,
-                compute_fraction=wl.compute_fraction(el),
-                bandwidth_gbs=0.0,
-                cpu_temp_c=temp_c,
-                utilization=wl.utilization(el),
-            )
-            active_w += single.active_cores_w * wl.power_modulation(el)
+            key = (wl.compute_fraction(el), wl.utilization(el))
+            if key != rw.active_key:
+                # Active-core watts do not depend on temperature, so one
+                # PowerModel.breakdown serves a job's whole phase.
+                rw.active_w = self.power_model.breakdown(
+                    wl.cores,
+                    wl.threads_per_core,
+                    rw.freq_khz,
+                    compute_fraction=key[0],
+                    bandwidth_gbs=0.0,
+                    cpu_temp_c=temp_c,
+                    utilization=key[1],
+                ).active_cores_w
+                rw.active_key = key
+            active_w += rw.active_w * wl.power_modulation(el)
             bw += wl.bandwidth_gbs(el)
             total_active += wl.cores
-            ht_any = max(ht_any, wl.threads_per_core)
         bw = min(bw, self.memory.peak_bandwidth_gbs)
         parked = self.spec.total_cores - total_active
         return PowerBreakdown(

@@ -3,7 +3,9 @@
 The jitter RNG is seeded per :meth:`RetryPolicy.call`, so a given policy
 produces the same delay sequence every time — chaos tests that assert on
 retry behaviour are reproducible, and the project's no-global-RNG rule
-holds (nothing here touches ``random``'s module state).
+holds (nothing here touches ``random``'s module state).  It is built at a
+call's first retry, so the calls that succeed at once (nearly all of them:
+every IPMI sample goes through here) seed nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class RetryPolicy:
             on_retry: observer called with ``(exc, attempt)`` before each
                 retry — attempt is the 1-based attempt that just failed.
         """
-        rng = random.Random(self.seed)
+        rng = None
         attempts = telemetry.counter("retry_attempts_total", {"op": op})
         delay = self.base_delay_s
         for attempt in range(1, self.max_attempts + 1):
@@ -101,6 +103,8 @@ class RetryPolicy:
                 attempts.inc()
                 if on_retry is not None:
                     on_retry(exc, attempt)
+                if rng is None:
+                    rng = random.Random(self.seed)
                 pause = min(delay, self.max_delay_s) * (1.0 + self.jitter * rng.random())
                 if sleep is not None:
                     sleep(pause)

@@ -106,8 +106,7 @@ class RestdServer(SocketDaemon):
                         return
                     if request is None:
                         return  # clean EOF between requests
-                    response = self.gateway.handle(request)
-                    self.requests_served += 1
+                    response = self._answer(self.gateway.handle, request)
                     keep = request.keep_alive and not self._should_stop()
                     conn.sendall(
                         render_response(

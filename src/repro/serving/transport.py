@@ -58,6 +58,8 @@ Answer = Union[PredictResponse, ErrorResponse]
 
 #: hard cap on one request line, newline included (16 MiB)
 MAX_LINE_BYTES = 1 << 24
+#: how long a stopping daemon waits for requests still being answered
+DRAIN_TIMEOUT_S = 2.0
 
 
 class _ConnReader:
@@ -150,7 +152,10 @@ class SocketDaemon:
     timeout so the loop notices :meth:`stop` (or a subclass's
     :meth:`_extra_stop` signal, e.g. a wire-initiated shutdown), an
     optional ``max_requests`` hard stop for smoke tests, and teardown
-    via :meth:`_on_close`.
+    via :meth:`_on_close`.  Handlers run each request through
+    :meth:`_answer`, which counts it; :meth:`serve_forever` waits (for
+    at most :data:`DRAIN_TIMEOUT_S`) for requests still being answered,
+    so the count it returns includes the request whose answer stopped it.
 
     Both the chronus/2 Unix-socket daemons and the REST gateway's TCP
     daemon (:class:`repro.restd.server.RestdServer`) run on this base.
@@ -168,6 +173,9 @@ class SocketDaemon:
         #: optional hard stop after N served requests (smoke tests)
         self.max_requests = max_requests
         self.requests_served = 0
+        #: guards ``requests_served`` and the count of requests in flight
+        self._requests = threading.Condition()
+        self._in_flight = 0
         self._sock: "socket.socket | None" = None
         self._accept_thread: "threading.Thread | None" = None
         self._stopping = threading.Event()
@@ -209,6 +217,8 @@ class SocketDaemon:
                 thread.start()
         finally:
             self._close()
+            with self._requests:
+                self._requests.wait_for(lambda: self._in_flight == 0, timeout=DRAIN_TIMEOUT_S)
         return self.requests_served
 
     def start(self):
@@ -237,6 +247,27 @@ class SocketDaemon:
                 and self.requests_served >= self.max_requests
             )
         )
+
+    def _answer(self, handle: Callable, request):
+        """``handle(request)``, counted in ``requests_served`` once it returns.
+
+        The request is in flight from before its handler runs, so an
+        answer that stops the loop (a shutdown op) cannot make
+        :meth:`serve_forever` return a count without it.
+        """
+        with self._requests:
+            self._in_flight += 1
+        answered = False
+        try:
+            answer = handle(request)
+            answered = True
+        finally:
+            with self._requests:
+                self._in_flight -= 1
+                if answered:
+                    self.requests_served += 1
+                self._requests.notify_all()
+        return answer
 
     def _close(self) -> None:
         if self._sock is not None:
@@ -312,8 +343,7 @@ class UnixSocketServer(SocketDaemon):
                         return
                     if payload is None:
                         return
-                    answer = self.server.handle_wire(payload)
-                    self.requests_served += 1
+                    answer = self._answer(self.server.handle_wire, payload)
                     conn.sendall(answer.encode("utf-8") + b"\n")
                     if self.server.shutdown_requested.is_set():
                         return

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro import faults, telemetry
 from repro.core.domain.errors import (
@@ -87,6 +87,8 @@ class Slurmctld:
         self.accounting = accounting if accounting is not None else AccountingDatabase()
         self.plugin_chain = PluginChain(time_budget_s=config.plugin_time_budget_s)
         self.jobs: dict[int, Job] = {}
+        #: job name -> the lowest id of a job with that name (job_by_name)
+        self._by_name: dict[str, int] = {}
         self._pending: list[int] = []
         self._running: list[int] = []
         self._next_job_id = 1
@@ -239,6 +241,8 @@ class Slurmctld:
         self._running = [int(j) for j in state["running"]]
         self._drained = set(state["drained"])
         self.jobs = {int(k): job_from_dict(v) for k, v in state["jobs"].items()}
+        self._by_name = {}
+        self._index_names(self.jobs.values())
         self._completion_at = {
             int(k): (float(v[0]), bool(v[1]))
             for k, v in state["completion"].items()
@@ -246,6 +250,12 @@ class Slurmctld:
         self.cluster_state = ClusterState.from_capture(state["cluster"])
         self.accounting.load_capture(state["accounting"])
         self.depgraph = DependencyGraph.from_capture(state.get("depgraph", {}))
+
+    def _index_names(self, jobs: Iterable[Job]) -> None:
+        for job in jobs:
+            known = self._by_name.get(job.descriptor.name)
+            if known is None or job.job_id < known:
+                self._by_name[job.descriptor.name] = job.job_id
 
     def _topology(self) -> "list[list]":
         return [[n.hostname, n.node.total_cores] for n in self.nodes]
@@ -270,7 +280,17 @@ class Slurmctld:
             # first, so a rejected cycle leaves no trace (fail fast, see
             # DESIGN.md)
             self.depgraph.add(int(data["job_id"]), data["deps"])
+        old_name = None
+        if rtype in ("dep_release", "reschedule"):
+            old_name = self.jobs[int(data["job_id"])].descriptor.name
         jobs = lifecycle.apply(self.jobs, rtype, data)
+        if rtype in ("submit", "submit_array", "submit_dep"):
+            self._index_names(jobs)
+        elif old_name is not None and jobs[0].descriptor.name != old_name:
+            # a plugin renamed the job on re-predict (none in-tree does):
+            # rare enough to rebuild the index from the table
+            self._by_name = {}
+            self._index_names(self.jobs.values())
         if rtype in ("submit", "submit_array", "submit_dep", "reschedule"):
             self._pending.extend(job.job_id for job in jobs)
             self._next_job_id = max(self._next_job_id, jobs[-1].job_id + 1)
@@ -1141,11 +1161,10 @@ class Slurmctld:
         Lowest id, not the first in ``self.jobs``: a restore rebuilds the
         table from a snapshot in key-string order (1, 10, 11, 2, ...), so
         the first match there can be an array task instead of its master.
+        An index kept by :meth:`_apply` answers in O(1); no job ever
+        leaves ``self.jobs``, so an entry never goes stale.
         """
-        return min(
-            (job.job_id for job in self.jobs.values() if job.descriptor.name == name),
-            default=None,
-        )
+        return self._by_name.get(name)
 
     def pending_jobs(self) -> list[Job]:
         return [self.jobs[j] for j in self._pending]

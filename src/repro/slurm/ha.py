@@ -338,6 +338,15 @@ class DrillPlane:
             if peer.role in ("dead", "fenced"):
                 peer.start(as_leader=False)
 
+    def close(self) -> None:
+        """Release the shared state-save's journal handle.
+
+        Whoever builds a drill plane closes it when done: the state-save
+        directory is usually removed next, and an open ``journal.log``
+        would outlive it.
+        """
+        self.statesave.close()
+
 
 def build_drill_plane(
     statesave_path: str,
@@ -430,7 +439,29 @@ def run_failover_drill(
         snapshot_interval=snapshot_interval,
         fsync=fsync,
     )
+    try:
+        return _failover_storm(
+            drill,
+            jobs=jobs,
+            kill_at_fraction=kill_at_fraction,
+            fault_profile=fault_profile,
+            submit_interval_s=submit_interval_s,
+        )
+    finally:
+        drill.close()
+
+
+def _failover_storm(
+    drill: DrillPlane,
+    *,
+    jobs: int,
+    kill_at_fraction: Optional[float],
+    fault_profile: Optional[str],
+    submit_interval_s: float,
+) -> FailoverReport:
+    """The body of :func:`run_failover_drill`, on an already built plane."""
     sim, statesave, plane, dbd = drill.sim, drill.statesave, drill.plane, drill.dbd
+    heartbeat_s, lease_s = drill.heartbeat_s, drill.lease_s
     peer_a, peer_b = drill.peers
 
     max_cores = min(s.node.total_cores for s in drill.slurmds)

@@ -6,6 +6,9 @@ slurmctld pair serving a submit storm, the leader SIGKILL'd mid-storm —
 the controller and the journal-fed slurmdbd.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro import faults, telemetry
@@ -47,6 +50,19 @@ class TestFailoverDrill:
         assert report.takeovers == 0
         assert report.retries == 0
         assert report.completed == 20
+
+    def test_drill_closes_its_state_save(self, tmp_path):
+        gc.collect()  # earlier tests' garbage must not land in this record
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_failover_drill(jobs=20, statesave_path=str(tmp_path))
+            gc.collect()
+        assert report.ok, report.render()
+        leaked = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning) and str(tmp_path) in str(w.message)
+        ]
+        assert leaked == []
 
     def test_drill_under_fault_profile(self, tmp_path):
         # the registered chaos profile: crash + torn-write + partition

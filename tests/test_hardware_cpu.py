@@ -1,5 +1,9 @@
 """Unit tests for CPU specs and the voltage curve."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.hardware.cpu import (
@@ -67,6 +71,27 @@ class TestCpuSpec:
         assert AMD_EPYC_7502P.nearest_frequency(2_000_000) == 2_200_000
         assert AMD_EPYC_7502P.nearest_frequency(1_000_000) == 1_500_000
         assert AMD_EPYC_7502P.nearest_frequency(9_999_999) == 2_500_000
+
+    def test_nearest_frequency_equals_the_numpy_reference(self):
+        """The pure-Python snap returns the P-state (and the int type) the
+        numpy ``argmin`` it replaced returned, ties to the lower P-state."""
+        spec = AMD_EPYC_7502P
+
+        def reference(freq_khz):
+            freqs = np.asarray(spec.frequencies_khz, dtype=float)
+            return int(spec.frequencies_khz[int(np.argmin(np.abs(freqs - freq_khz)))])
+
+        rng = random.Random(22)
+        values = [rng.uniform(0.0, 4e6) for _ in range(20_000)]
+        values += [rng.randrange(1_000_000, 3_000_000) for _ in range(5_000)]
+        values += list(spec.frequencies_khz) + [1_850_000, 2_350_000, 1_850_000.0, 2_350_000.0]
+        values += [0, 0.0, -1.0, -2_200_000, 1e12, -1e12, 1e30, math.inf, -math.inf, math.nan]
+        for value in values:
+            got = spec.nearest_frequency(value)
+            assert got == reference(value), value
+            assert type(got) is int
+        assert spec.nearest_frequency(1_850_000) == 1_500_000
+        assert spec.nearest_frequency(2_350_000) == 2_200_000
 
     def test_core_ids(self):
         assert list(AMD_EPYC_7502P.core_ids()) == list(range(32))

@@ -1,5 +1,7 @@
 """Unit tests for cpufreq policies and governors."""
 
+import math
+
 import pytest
 
 from repro.hardware.cpu import AMD_EPYC_7502P
@@ -108,3 +110,17 @@ class TestBounds:
         assert policy.current_freq_khz == 2_500_000
         policy.set_bounds(max_khz=1_500_000)
         assert policy.current_freq_khz == 1_500_000
+
+    def test_window_equals_the_filter_reference(self, policy):
+        """The cached window is what filtering the P-states gives, for any
+        bounds written straight into the fields, NaN and infinities too."""
+
+        def reference(lo, hi):
+            freqs = [f for f in AMD_EPYC_7502P.frequencies_khz if lo <= f <= hi]
+            return freqs or [AMD_EPYC_7502P.nearest_frequency(hi)]
+
+        values = [0, 1_000_000, 1_500_000, 1_850_000, 2_200_000, 2_300_000, 2_500_000, 3_000_000, math.inf, math.nan]
+        for lo in values:
+            for hi in values:
+                policy.scaling_min_freq, policy.scaling_max_freq = lo, hi
+                assert policy.allowed_freqs() == reference(lo, hi), (lo, hi)

@@ -1,5 +1,8 @@
 """Tests for repro.resilience: RetryPolicy, Deadline, CircuitBreaker."""
 
+import random
+from unittest import mock
+
 import pytest
 
 from repro import telemetry
@@ -99,7 +102,25 @@ class TestRetryPolicy:
 
         with pytest.raises(OSError):
             policy.call(always_fails, op="t", sleep=slept.append)
-        assert slept == pytest.approx(policy.delays())
+        assert slept == policy.delays()
+
+    def test_jitter_rng_built_at_the_first_retry_only(self):
+        policy = RetryPolicy(max_attempts=3, seed=7)
+        with mock.patch("repro.resilience.retry.random.Random", wraps=random.Random) as built:
+            assert policy.call(lambda: "ok", op="t") == "ok"
+            assert built.call_count == 0
+            flaky = iter([OSError("x"), OSError("y")])
+            slept = []
+
+            def recovers():
+                exc = next(flaky, None)
+                if exc is not None:
+                    raise exc
+                return "late"
+
+            assert policy.call(recovers, op="t", sleep=slept.append) == "late"
+        assert built.call_args_list == [mock.call(7)]
+        assert slept == policy.delays()
 
     def test_telemetry_counters(self):
         policy = RetryPolicy(max_attempts=2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -804,6 +805,76 @@ class TestUnixSocketTransport:
         _, _, client = daemon
         assert isinstance(client, PredictionProvider)
         assert isinstance(LocalTransport(ChronusServer(svc)), PredictionProvider)
+
+
+class _SlowShutdownServer:
+    """A ChronusServer stand-in whose shutdown answer takes 0.5 s: longer
+    than the daemon's 0.2 s accept poll, which sees the shutdown first."""
+
+    def __init__(self) -> None:
+        self.shutdown_requested = threading.Event()
+
+    def handle_wire(self, payload: bytes) -> str:
+        if b"shutdown" in payload:
+            self.shutdown_requested.set()
+            time.sleep(0.5)
+        return '{"ok": true}'
+
+
+def _serving(daemon: UnixSocketServer):
+    """Run ``daemon.serve_forever`` on a thread once its socket answers;
+    returns (the thread, the list its return value lands in, a client).
+    The bind wait is one answered request."""
+    served = []
+    loop = threading.Thread(target=lambda: served.append(daemon.serve_forever()))
+    loop.start()
+    client = UnixSocketTransport(daemon.socket_path, timeout_s=5.0)
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            client.request_raw('{"op": "ping"}')
+            return loop, served, client
+        except OSError:
+            assert time.monotonic() < deadline, "the daemon never bound its socket"
+            time.sleep(0.02)
+
+
+class TestServeCount:
+    def test_serve_forever_counts_the_answer_that_stopped_it(self, tmp_path):
+        daemon = UnixSocketServer(_SlowShutdownServer(), str(tmp_path / "count.sock"))
+        loop, served, client = _serving(daemon)
+        client.request_raw('{"op": "ping"}')
+        assert json.loads(client.request_raw('{"op": "shutdown"}')) == {"ok": True}
+        loop.join(timeout=10.0)
+        assert not loop.is_alive()
+        assert served == [3]
+        assert daemon.requests_served == 3
+
+    def test_concurrent_connections_lose_no_count(self, tmp_path):
+        daemon = UnixSocketServer(_SlowShutdownServer(), str(tmp_path / "many.sock"))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loop, served, client = _serving(daemon)
+            done = []
+
+            def burst() -> None:
+                for _ in range(25):
+                    client.request_raw('{"op": "ping"}')
+                done.append(1)
+
+            clients = [threading.Thread(target=burst) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30.0)
+            assert len(done) == 8
+            client.request_raw('{"op": "shutdown"}')
+            loop.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not loop.is_alive()
+        assert served == [1 + 8 * 25 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.slurm.controller import Slurmctld
 from repro.slurm.dbd import SlurmDbd
 from repro.slurm.job import JobDescriptor
 from repro.slurm.lifecycle import job_to_dict
+from repro.slurm.plugins.base import SLURM_SUCCESS, JobSubmitPlugin
 from repro.slurm.statesave import (
     JournalRecord,
     StateSave,
@@ -280,7 +281,7 @@ workload_strategy = st.lists(
 )
 
 
-def _run_journaled(tmpdir: str, jobs, horizon: float, snapshot_interval: int = 0):
+def _run_journaled(tmpdir: str, jobs, horizon: float, snapshot_interval: int = 0, on_record=None):
     """Drive a journaled cluster; returns (digests-by-seq, final ctld).
 
     Workload elements can chain ``afterok`` dependencies on the previous
@@ -289,7 +290,7 @@ def _run_journaled(tmpdir: str, jobs, horizon: float, snapshot_interval: int = 0
     exercises the automatic reschedule path (``RescheduleRetries=1``),
     so the replay invariant covers submit_dep / dep_release / reschedule
     records and never-satisfied cancel cascades, not just the legacy
-    record types.
+    record types.  ``on_record`` sees the controller after every record.
     """
     ss = StateSave(tmpdir, fsync=False, snapshot_interval=snapshot_interval)
     cluster = SimCluster(
@@ -297,9 +298,13 @@ def _run_journaled(tmpdir: str, jobs, horizon: float, snapshot_interval: int = 0
         config=SlurmConfig(reschedule_retries=1),
     )
     digests: dict[int, str] = {}
-    ss.on_append = lambda rec: digests.__setitem__(
-        rec.seq, cluster.ctld.state_digest()
-    )
+
+    def appended(rec) -> None:
+        digests[rec.seq] = cluster.ctld.state_digest()
+        if on_record is not None:
+            on_record(cluster.ctld)
+
+    ss.on_append = appended
     # the genesis record was journaled during construction, before the
     # hook attached; its digest is simply the fresh controller's
     digests[ss.last_seq] = cluster.ctld.state_digest()
@@ -707,3 +712,94 @@ class TestDbdTail:
             with pytest.raises(JournalCorruptError):
                 dbd.pump()
         ss.close()
+
+
+# ----------------------------------------------------------------------
+# the by-name index answers what a scan of the job table answers
+# ----------------------------------------------------------------------
+
+def _scan_by_name(ctld: Slurmctld, name: str):
+    """The reference: the lowest id among the jobs named ``name``."""
+    return min((j.job_id for j in ctld.jobs.values() if j.descriptor.name == name), default=None)
+
+
+def _names(ctld: Slurmctld) -> "set[str]":
+    return {job.descriptor.name for job in ctld.jobs.values()} | {"never-submitted"}
+
+
+def _assert_names_indexed(ctld: Slurmctld) -> None:
+    for name in _names(ctld):
+        assert ctld.job_by_name(name) == _scan_by_name(ctld, name), name
+
+
+def _restored(tmpdir: str) -> Slurmctld:
+    again = StateSave(tmpdir, fsync=False)
+    fresh = SimCluster(n_nodes=2, hpcg_duration_s=120)
+    try:
+        return Slurmctld.restore(fresh.sim, fresh.ctld.config, fresh.ctld.nodes, again, attach=False)
+    finally:
+        again.close()
+
+
+class _RenameOnEveryRun(JobSubmitPlugin):
+    name = "rename"
+
+    def job_submit(self, job_desc: JobDescriptor, submit_uid: int) -> int:
+        job_desc.name += "+"
+        return SLURM_SUCCESS
+
+
+class TestJobByName:
+    @settings(max_examples=8, deadline=None)
+    @given(jobs=workload_strategy)
+    def test_index_equals_a_scan_through_reschedules(self, jobs, tmp_path_factory):
+        tmpdir = str(tmp_path_factory.mktemp("byname"))
+        _, cluster, ss = _run_journaled(
+            tmpdir, jobs, horizon=400.0, snapshot_interval=4, on_record=_assert_names_indexed
+        )
+        ss.close()
+        restored = _restored(tmpdir)
+        _assert_names_indexed(restored)
+        for name in _names(cluster.ctld):
+            assert restored.job_by_name(name) == cluster.ctld.job_by_name(name)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ops=dbd_ops_strategy)
+    def test_index_equals_a_scan_through_arrays_and_compaction(self, ops, tmp_path_factory):
+        tmpdir = str(tmp_path_factory.mktemp("bynamearrays"))
+        harness = _TailHarness(tmpdir)
+        harness.ss.on_append = lambda rec: _assert_names_indexed(harness.cluster.ctld)
+        try:
+            for op, arg in ops:
+                if op == "work":
+                    harness.work(arg)
+                    # the same names again: a resubmitted job and array
+                    harness.jobs -= 1
+                    harness.work(arg)
+                elif op == "compact":
+                    harness.compact()
+        finally:
+            harness.ss.close()
+        restored = _restored(tmpdir)
+        _assert_names_indexed(restored)
+        for name in _names(harness.cluster.ctld):
+            assert restored.job_by_name(name) == harness.cluster.ctld.job_by_name(name)
+
+    def test_a_plugin_rename_on_reschedule_moves_the_entry(self, tmp_path):
+        ss = StateSave(str(tmp_path), fsync=False)
+        cluster = SimCluster(
+            n_nodes=2, statesave=ss, hpcg_duration_s=120,
+            config=SlurmConfig(reschedule_retries=1, job_submit_plugins=("rename",)),
+        )
+        ctld = cluster.ctld
+        ctld.register_plugin(_RenameOnEveryRun())
+        jid = ctld.submit(
+            JobDescriptor(name="wf", num_tasks=4, binary=HPCG_BINARY, time_limit_s=60, workflow="w")
+        )
+        assert ctld.job_by_name("wf+") == jid
+        cluster.sim.run(until=600.0)
+        ss.close()
+        assert ctld.jobs[jid].descriptor.name == "wf++"  # re-predicted once
+        assert ctld.job_by_name("wf++") == jid
+        assert ctld.job_by_name("wf+") is None
+        _assert_names_indexed(ctld)
