@@ -51,10 +51,9 @@ class CpufreqPolicy:
     ``--cpu-freq=<min>[-<max>]`` job parameter.
 
     The clipped window (:meth:`allowed_freqs`) is computed when those
-    bounds change, not on every governor decision.  :meth:`adopt` copies
-    one policy's outcome onto another: a node sets up (or resets) the
-    first core of an allocation and hands the result to the other cores
-    instead of repeating the same steps core by core.
+    bounds change, not on every governor decision, so applying a job's
+    window to each core of an allocation, and resetting each core when
+    the job ends, costs one filter per change of bounds.
     """
 
     spec: CpuSpec
@@ -139,22 +138,6 @@ class CpufreqPolicy:
             self.scaling_max_freq = max_khz
         self._validate_bounds()
         self._current = self._clamp(self._current)
-
-    def adopt(self, other: "CpufreqPolicy") -> None:
-        """Take ``other``'s governor, window, setpoint and running frequency.
-
-        The caller vouches that the same steps on this policy would have
-        ended in the same state (the policies were equal before, or the
-        steps ignore prior state, as :meth:`reset` does).  The thresholds
-        are not copied; the equality the caller checked covers them.
-        """
-        self.governor = other.governor
-        self.scaling_min_freq = other.scaling_min_freq
-        self.scaling_max_freq = other.scaling_max_freq
-        self.userspace_setpoint = other.userspace_setpoint
-        self._current = other._current
-        self._window = other._window
-        self._window_bounds = other._window_bounds
 
     def set_userspace(self, freq_khz: int) -> None:
         self.governor = Governor.USERSPACE

@@ -14,8 +14,8 @@
   sensor reads of one sample and the thermal sub-step that ends at that
   instant share one result, and a running job's active-core watts are
   worked out once per (compute fraction, utilization) phase;
-* snaps a job's ``--cpu-freq`` window once per allocation and sets up one
-  core's policy, which every alike core of the allocation then adopts;
+* snaps a job's ``--cpu-freq`` window to P-states once per allocation,
+  not once per core;
 * exposes a small virtual filesystem (``/proc/cpuinfo``, ``/proc/meminfo``,
   ``/sys/devices/system/cpu/...``) because both Chronus and the paper's C
   plugin identify the system by reading those files.
@@ -207,26 +207,16 @@ class SimulatedNode:
             raise NodeError(f"workload must request at least one core, got {workload.cores}")
         self._refresh(self.sim.now)
         core_ids = tuple(free[: workload.cores])
-        if isinstance(governor, str):
-            governor = Governor.parse(governor)
         lo = None if freq_min_khz is None else self.spec.nearest_frequency(freq_min_khz)
         hi = None if freq_max_khz is None else self.spec.nearest_frequency(freq_max_khz)
-        policies = [self.policies[cid] for cid in core_ids]
-        lead = policies[0]
-        # A core whose policy equals the first core's (free cores all sit
-        # at platform defaults) ends where the first one does: it takes
-        # the first core's result instead of repeating the steps.
-        alike = [False] + [pol == lead for pol in policies[1:]]
-        for pol, same in zip(policies, alike):
-            if same:
-                pol.adopt(lead)
-                continue
+        for cid in core_ids:
+            pol = self.policies[cid]
             if governor is not None:
                 pol.set_governor(governor)
             if lo is not None or hi is not None:
                 pol.set_snapped_bounds(lo, hi)
             pol.update(utilization=1.0)
-        freq = lead.current_freq_khz
+        freq = self.policies[core_ids[0]].current_freq_khz
         handle = self._next_handle
         self._next_handle += 1
         self._running[handle] = RunningWorkload(
@@ -242,11 +232,8 @@ class SimulatedNode:
         self._refresh(self.sim.now)
         rw = self._running.pop(handle)
         self._instant = None
-        # reset() ignores a policy's prior state, so one reset serves all
-        lead = self.policies[rw.core_ids[0]]
-        lead.reset()
-        for cid in rw.core_ids[1:]:
-            self.policies[cid].adopt(lead)
+        for cid in rw.core_ids:
+            self.policies[cid].reset()
         return rw.workload
 
     def running_workloads(self) -> list[RunningWorkload]:

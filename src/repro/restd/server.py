@@ -106,17 +106,17 @@ class RestdServer(SocketDaemon):
                         return
                     if request is None:
                         return  # clean EOF between requests
-                    response = self._answer(self.gateway.handle, request)
-                    keep = request.keep_alive and not self._should_stop()
-                    conn.sendall(
-                        render_response(
-                            response.status,
-                            response.encoded_body(),
-                            content_type=response.content_type,
-                            extra_headers=response.headers,
-                            keep_alive=keep,
+                    with self._answering(self.gateway.handle, request) as response:
+                        keep = request.keep_alive and not self._should_stop()
+                        conn.sendall(
+                            render_response(
+                                response.status,
+                                response.encoded_body(),
+                                content_type=response.content_type,
+                                extra_headers=response.headers,
+                                keep_alive=keep,
+                            )
                         )
-                    )
                     if not keep:
                         return
         except (OSError, ValueError):

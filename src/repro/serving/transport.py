@@ -29,6 +29,7 @@ cannot grow the buffer without bound.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import threading
@@ -152,10 +153,11 @@ class SocketDaemon:
     timeout so the loop notices :meth:`stop` (or a subclass's
     :meth:`_extra_stop` signal, e.g. a wire-initiated shutdown), an
     optional ``max_requests`` hard stop for smoke tests, and teardown
-    via :meth:`_on_close`.  Handlers run each request through
-    :meth:`_answer`, which counts it; :meth:`serve_forever` waits (for
-    at most :data:`DRAIN_TIMEOUT_S`) for requests still being answered,
-    so the count it returns includes the request whose answer stopped it.
+    via :meth:`_on_close`.  Handlers answer and reply to each request
+    inside :meth:`_answering`, which counts it; :meth:`serve_forever`
+    waits (for at most :data:`DRAIN_TIMEOUT_S`) for requests whose
+    handler or reply is still running, so the count it returns includes
+    the request whose answer stopped it, and that reply has been written.
 
     Both the chronus/2 Unix-socket daemons and the REST gateway's TCP
     daemon (:class:`repro.restd.server.RestdServer`) run on this base.
@@ -248,26 +250,27 @@ class SocketDaemon:
             )
         )
 
-    def _answer(self, handle: Callable, request):
-        """``handle(request)``, counted in ``requests_served`` once it returns.
+    @contextlib.contextmanager
+    def _answering(self, handle: Callable, request):
+        """Yield ``handle(request)`` for the caller to send in the block.
 
-        The request is in flight from before its handler runs, so an
-        answer that stops the loop (a shutdown op) cannot make
-        :meth:`serve_forever` return a count without it.
+        The request is counted in ``requests_served`` once its handler
+        returns, and stays in flight from before the handler runs until
+        the block ends.  So an answer that stops the loop (a shutdown op,
+        the ``max_requests``-th request) cannot make :meth:`serve_forever`
+        return before that answer is counted and its reply written.
         """
         with self._requests:
             self._in_flight += 1
-        answered = False
         try:
             answer = handle(request)
-            answered = True
+            with self._requests:
+                self.requests_served += 1
+            yield answer
         finally:
             with self._requests:
                 self._in_flight -= 1
-                if answered:
-                    self.requests_served += 1
                 self._requests.notify_all()
-        return answer
 
     def _close(self) -> None:
         if self._sock is not None:
@@ -343,8 +346,8 @@ class UnixSocketServer(SocketDaemon):
                         return
                     if payload is None:
                         return
-                    answer = self._answer(self.server.handle_wire, payload)
-                    conn.sendall(answer.encode("utf-8") + b"\n")
+                    with self._answering(self.server.handle_wire, payload) as answer:
+                        conn.sendall(answer.encode("utf-8") + b"\n")
                     if self.server.shutdown_requested.is_set():
                         return
                     if (

@@ -839,7 +839,57 @@ def _serving(daemon: UnixSocketServer):
             time.sleep(0.02)
 
 
+class _SlowReplyConn:
+    """The daemon's side of a connection whose reply to the shutdown op
+    takes 0.5 s to write.  Before writing it, it notes whether the
+    daemon's ``serve_forever`` had already returned."""
+
+    def __init__(self, conn, daemon: "_SlowReplyDaemon") -> None:
+        self._conn = conn
+        self._daemon = daemon
+
+    def recv_into(self, buffer) -> int:
+        return self._conn.recv_into(buffer)
+
+    def sendall(self, data: bytes) -> None:
+        if self._daemon.server.shutdown_requested.is_set():
+            time.sleep(0.5)
+            self._daemon.returned_before_reply.append(self._daemon.returned)
+        self._conn.sendall(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._conn.close()
+
+
+class _SlowReplyDaemon(UnixSocketServer):
+    def __init__(self, server, socket_path: str) -> None:
+        super().__init__(server, socket_path)
+        self.returned = False
+        self.returned_before_reply: list[bool] = []
+
+    def serve_forever(self) -> int:
+        try:
+            return super().serve_forever()
+        finally:
+            self.returned = True
+
+    def _serve_connection(self, conn) -> None:
+        super()._serve_connection(_SlowReplyConn(conn, self))
+
+
 class TestServeCount:
+    def test_serve_forever_returns_after_the_stopping_reply_is_written(self, tmp_path):
+        daemon = _SlowReplyDaemon(_SlowShutdownServer(), str(tmp_path / "reply.sock"))
+        loop, served, client = _serving(daemon)
+        assert json.loads(client.request_raw('{"op": "shutdown"}')) == {"ok": True}
+        loop.join(timeout=10.0)
+        assert not loop.is_alive()
+        assert daemon.returned_before_reply == [False]
+        assert served == [2]
+
     def test_serve_forever_counts_the_answer_that_stopped_it(self, tmp_path):
         daemon = UnixSocketServer(_SlowShutdownServer(), str(tmp_path / "count.sock"))
         loop, served, client = _serving(daemon)
