@@ -65,10 +65,6 @@ class SavingsReport:
         return 1.0 - self.best_gflops / self.default_gflops
 
     @property
-    def annual_kwh_default(self) -> float:
-        return self.default_w * self.duty_cycle * HOURS_PER_YEAR / 1000.0
-
-    @property
     def annual_kwh_saved(self) -> float:
         """kWh/year saved delivering the default configuration's annual
         work at the eco configuration's energy-per-work."""

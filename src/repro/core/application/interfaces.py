@@ -47,9 +47,9 @@ class PredictionProvider(Protocol):
     The only way into the eco plugin: everything that answers it
     implements this one method — the in-process
     :class:`~repro.serving.transport.LocalTransport`, the Unix-socket
-    client, the shard router and the application itself.  An unanswerable
-    request is an explicit :class:`~repro.serving.protocol.ErrorResponse`
-    — implementations raise only for transport-level failures.
+    client and the shard router.  An unanswerable request is an explicit
+    :class:`~repro.serving.protocol.ErrorResponse` — implementations
+    raise only for transport-level failures.
     """
 
     def predict(
@@ -142,42 +142,17 @@ class OptimizerInterface(abc.ABC):
     def predict_efficiency(self, configuration: Configuration) -> float:
         """Predicted GFLOPS/W for one configuration."""
 
+    @abc.abstractmethod
     def predict_efficiency_batch(
         self, configurations: Sequence[Configuration]
     ) -> np.ndarray:
         """Predicted GFLOPS/W for many configurations, as one ndarray.
 
-        The serving hot path calls this once per micro-batch group;
-        optimizers with a vectorizable surface override it with a single
-        numpy evaluation.  The default is the scalar loop, so every
-        implementation of this interface batches correctly even before it
-        batches fast.
+        The serving hot path scores a fitted model's candidate grid once
+        through this; it may differ from :meth:`predict_efficiency` in the
+        last ulp (a mat-vec rounds differently from a dot product).
         """
-        return np.array(
-            [self.predict_efficiency(c) for c in configurations], dtype=float
-        )
 
-    def predict_batch(
-        self,
-        frequencies: Sequence[int],
-        cores: Sequence[int],
-        threads_per_core: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Array-in/array-out fast path over parallel component arrays."""
-        if threads_per_core is None:
-            threads_per_core = [1] * len(frequencies)
-        if not (len(frequencies) == len(cores) == len(threads_per_core)):
-            raise ValueError(
-                "predict_batch needs equal-length component arrays, got "
-                f"{len(frequencies)}/{len(cores)}/{len(threads_per_core)}"
-            )
-        configs = [
-            Configuration(cores=int(c), threads_per_core=int(t), frequency=int(f))
-            for f, c, t in zip(frequencies, cores, threads_per_core)
-        ]
-        return self.predict_efficiency_batch(configs)
-
-    @abc.abstractmethod
     def best_configuration(
         self, candidates: Optional[Sequence[Configuration]] = None
     ) -> Configuration:
@@ -187,28 +162,25 @@ class OptimizerInterface(abc.ABC):
         which is what ``slurm-config`` uses (no repository access inside
         Slurm's plugin time budget).
         """
+        return self.best_configurations([candidates])[0]
 
+    @abc.abstractmethod
     def best_configurations(
         self, pools: Sequence[Optional[Sequence[Configuration]]]
     ) -> list[Configuration]:
         """Answer many candidate pools at once (micro-batch dispatch).
 
         Each pool follows the :meth:`best_configuration` contract
-        (``None`` = the fit-time configurations).  Answers must be
-        bit-identical to calling :meth:`best_configuration` per pool —
-        batching is a throughput optimisation, never a semantic one.
+        (``None`` = the fit-time configurations), and each answer depends
+        on its own pool only, never on the other pools of the call.
         """
-        return [self.best_configuration(pool) for pool in pools]
 
+    @abc.abstractmethod
     def warm(self) -> int:
         """Precompute whatever makes the first prediction cheap.
 
-        Returns the number of candidate configurations covered.  The
-        default does one throwaway evaluation; optimizers with a score
-        cache override this to populate it ahead of the first request.
+        Returns the number of candidate configurations covered.
         """
-        self.best_configuration(None)
-        return len(self.training_configurations())
 
     @abc.abstractmethod
     def training_configurations(self) -> list[Configuration]:

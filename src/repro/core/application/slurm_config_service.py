@@ -228,17 +228,6 @@ class SlurmConfigService:
         fastest = max(g for _, g in rated)
         return [cfg for cfg, g in rated if g >= min_perf * fastest] or None
 
-    def _evaluate(
-        self,
-        system_id: "int | str",
-        binary_hash: "int | str",
-        min_perf: Optional[float],
-    ) -> "tuple[Configuration, dict, tuple[str, str], dict | None]":
-        entry, cache_key, shadow = self._resolve_model(system_id, binary_hash)
-        optimizer = self._load_optimizer(cache_key, entry)
-        best = optimizer.best_configuration(self._candidates(optimizer, min_perf))
-        return best, entry, cache_key, shadow
-
     # ------------------------------------------------------------------
     def _maybe_shadow(
         self,
@@ -284,6 +273,40 @@ class SlurmConfigService:
             telemetry.counter("model_shadow_errors_total", labels).inc()
             self._log(f"slurm-config: shadow evaluation failed: {exc}")
 
+    def _answer(
+        self,
+        entry: dict,
+        cache_key: tuple[str, str],
+        members: "Sequence[tuple[Optional[float], dict | None]]",
+    ) -> list[PredictResponse]:
+        """Answer one model's requests: the only code that builds an answer.
+
+        ``members`` holds one ``(min_perf, shadow_entry)`` pair per
+        request resolved to ``entry``.  All their pools are answered by a
+        single :meth:`~OptimizerInterface.best_configurations` call, which
+        selects by argmax over the optimizer's one cached score vector, so
+        a request's answer does not depend on its batch-mates.  Raises
+        :class:`OptimizerError` for an artifact that will not load and
+        ``ValueError`` for a floor outside (0, 1].
+        """
+        optimizer = self._load_optimizer(cache_key, entry)
+        pools = [self._candidates(optimizer, min_perf) for min_perf, _ in members]
+        bests = optimizer.best_configurations(pools)
+        answers = []
+        for (min_perf, shadow), best in zip(members, bests):
+            self._maybe_shadow(shadow, cache_key, best, min_perf)
+            answers.append(
+                PredictResponse(
+                    cores=best.cores,
+                    threads_per_core=best.threads_per_core,
+                    frequency=best.frequency,
+                    model_type=entry["type"],
+                    model_id=int(entry.get("model_id", 0) or 0),
+                    model_version=int(entry.get("version", 0) or 0),
+                )
+            )
+        return answers
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -301,7 +324,13 @@ class SlurmConfigService:
                 user's ``--comment "chronus perf=0.95"``).  Candidates
                 without a stored rating are excluded when a floor is set.
         """
-        best, _, _, _ = self._evaluate(system_id, binary_hash, min_perf)
+        entry, cache_key, shadow = self._resolve_model(system_id, binary_hash)
+        (answer,) = self._answer(entry, cache_key, [(min_perf, shadow)])
+        best = Configuration(
+            cores=answer.cores,
+            threads_per_core=answer.threads_per_core,
+            frequency=answer.frequency,
+        )
         self._log(
             f"slurm-config: system={system_id} binary={binary_hash} "
             f"min_perf={min_perf} -> {best.to_json()}"
@@ -326,18 +355,11 @@ class SlurmConfigService:
         a shadow model, a sampled fraction of requests is additionally
         mirrored onto it for divergence metrics (see :meth:`_maybe_shadow`).
         """
-        best, entry, cache_key, shadow = self._evaluate(
-            request.system_id, request.binary_hash, request.min_perf
+        entry, cache_key, shadow = self._resolve_model(
+            request.system_id, request.binary_hash
         )
-        self._maybe_shadow(shadow, cache_key, best, request.min_perf)
-        return PredictResponse(
-            cores=best.cores,
-            threads_per_core=best.threads_per_core,
-            frequency=best.frequency,
-            model_type=entry["type"],
-            model_id=int(entry.get("model_id", 0) or 0),
-            model_version=int(entry.get("version", 0) or 0),
-        )
+        (answer,) = self._answer(entry, cache_key, [(request.min_perf, shadow)])
+        return answer
 
     def predict_batch(
         self, requests: Sequence[PredictRequest]
@@ -352,11 +374,11 @@ class SlurmConfigService:
         2. distinct keys are resolved against *one* settings read and
            grouped by the ``(model_id, version, path)`` identity that
            will answer them;
-        3. each group is answered by a single
-           :meth:`~OptimizerInterface.best_configurations` call — the
+        3. each group is answered by one :meth:`_answer` step — a single
+           :meth:`~OptimizerInterface.best_configurations` call, where the
            optimizer scores its candidate grid once and every member's
            performance-floor pool is an argmax over that shared vector,
-           so batched answers are bit-identical to scalar ones.
+           so a request's answer does not depend on its batch-mates.
 
         Failures stay per-key and explicit: a request whose model is
         missing gets a ``MODEL_NOT_FOUND`` :class:`ErrorResponse` while
@@ -400,42 +422,29 @@ class SlurmConfigService:
                 continue
             group = groups.setdefault(
                 (cache_key, self._entry_tag(entry)),
-                {"entry": entry, "cache_key": cache_key, "members": []},
+                {"entry": entry, "cache_key": cache_key, "keys": [], "members": []},
             )
-            group["members"].append((key, request, shadow))
+            group["keys"].append(key)
+            group["members"].append((request.min_perf, shadow))
         if groups:
             telemetry.histogram("serve_batch_groups").observe(len(groups))
             telemetry.histogram("serve_batch_distinct_keys").observe(len(distinct))
         for group in groups.values():
-            entry, cache_key = group["entry"], group["cache_key"]
-            members = group["members"]
+            keys = group["keys"]
             try:
-                optimizer = self._load_optimizer(cache_key, entry)
-                pools = [
-                    self._candidates(optimizer, request.min_perf)
-                    for _, request, _ in members
-                ]
-                bests = optimizer.best_configurations(pools)
+                responses = self._answer(
+                    group["entry"], group["cache_key"], group["members"]
+                )
             except (ChronusError, ValueError) as exc:
                 error = ErrorResponse(
                     code="INTERNAL",
                     message=f"{type(exc).__name__}: {exc}",
                     retryable=True,
                 )
-                for key, _, _ in members:
-                    answers[key] = error
+                answers.update(dict.fromkeys(keys, error))
                 continue
-            telemetry.counter("serve_batch_vectorized_total").inc(len(members))
-            for (key, request, shadow), best in zip(members, bests):
-                self._maybe_shadow(shadow, cache_key, best, request.min_perf)
-                answers[key] = PredictResponse(
-                    cores=best.cores,
-                    threads_per_core=best.threads_per_core,
-                    frequency=best.frequency,
-                    model_type=entry["type"],
-                    model_id=int(entry.get("model_id", 0) or 0),
-                    model_version=int(entry.get("version", 0) or 0),
-                )
+            telemetry.counter("serve_batch_vectorized_total").inc(len(keys))
+            answers.update(zip(keys, responses))
         out: "list[PredictResponse | ErrorResponse]" = []
         for request in requests:
             answer = answers[request.key()]
@@ -460,11 +469,7 @@ class SlurmConfigService:
         with telemetry.span(
             "chronus.warm", system=cache_key[0], application=cache_key[1]
         ):
-            warm = getattr(optimizer, "warm", None)
-            if callable(warm):
-                warm()
-            else:  # pre-batch optimizer implementations
-                optimizer.best_configuration(None)
+            optimizer.warm()
         telemetry.counter("model_warm_total").inc()
         self._log(f"slurm-config: warmed {cache_key} ({entry['type']})")
         return cache_key

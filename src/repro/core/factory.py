@@ -259,10 +259,6 @@ class ChronusApp:
     def clock(self) -> Callable[[], float]:
         return lambda: self.cluster.sim.now
 
-    def predict(self, request):
-        """The typed prediction port, served through the ChronusServer."""
-        return self.server.predict(request)
-
     def enable_eco_plugin(self) -> JobSubmitEco:
         """Install ``job_submit_eco`` into the cluster's controller.
 

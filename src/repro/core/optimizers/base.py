@@ -86,11 +86,10 @@ class BaseOptimizer(OptimizerInterface):
         #: without repository access
         self._candidate_gflops: dict[Configuration, float] = {}
         #: lazily computed scores over ``_candidates`` plus their index.
-        #: Every pool — scalar or batched — selects from this one vector:
-        #: BLAS kernels round differently for different batch shapes, so
-        #: re-scoring a subset could disagree with the batch path in ulps
-        #: and flip an argmax tie.  One shared vector makes batch answers
-        #: bit-identical to scalar answers by construction.
+        #: Every pool selects from this one vector: BLAS kernels round
+        #: differently for different batch shapes, so re-scoring a subset
+        #: could disagree in ulps and flip an argmax tie.  One shared
+        #: vector makes a pool's answer independent of its batch-mates.
         self._candidate_scores_cache: "np.ndarray | None" = None
         self._candidate_index_cache: "dict[Configuration, int] | None" = None
 
@@ -105,16 +104,9 @@ class BaseOptimizer(OptimizerInterface):
     def _predict(self, configuration: Configuration) -> float:
         """Subclass prediction (called only when fitted)."""
 
-    def _predict_batch(
-        self, configurations: Sequence[Configuration]
-    ) -> "np.ndarray | None":
-        """Vectorized prediction hook; ``None`` = no fast path.
-
-        Subclasses with a vectorizable surface return the scores for all
-        ``configurations`` from one numpy evaluation.  Returning ``None``
-        falls back to a scalar ``_predict`` loop.
-        """
-        return None
+    @abc.abstractmethod
+    def _predict_batch(self, configurations: Sequence[Configuration]) -> np.ndarray:
+        """Subclass batch prediction: one score per configuration."""
 
     @abc.abstractmethod
     def _payload(self) -> dict[str, Any]:
@@ -172,13 +164,7 @@ class BaseOptimizer(OptimizerInterface):
         configurations = list(configurations)
         if not configurations:
             return np.empty(0, dtype=float)
-        scores = self._predict_batch(configurations)
-        if scores is None:
-            scores = np.array(
-                [float(self._predict(c)) for c in configurations], dtype=float
-            )
-        else:
-            scores = np.asarray(scores, dtype=float)
+        scores = np.asarray(self._predict_batch(configurations), dtype=float)
         if scores.shape != (len(configurations),):
             raise OptimizerError(
                 f"{self.name()}: _predict_batch returned shape {scores.shape} "
@@ -219,22 +205,6 @@ class BaseOptimizer(OptimizerInterface):
         scores, _ = self._candidate_scores()
         return int(scores.size)
 
-    def best_configuration(
-        self, candidates: Optional[Sequence[Configuration]] = None
-    ) -> Configuration:
-        self._require_fitted()
-        pool = list(candidates) if candidates is not None else list(self._candidates)
-        if not pool:
-            raise OptimizerError(f"{self.name()}: no candidate configurations")
-        started = time.perf_counter()
-        # np.argmax takes the first maximum — the same winner the old
-        # max(pool, key=...) scan picked
-        best = pool[int(np.argmax(self._pool_scores(pool)))]
-        telemetry.histogram(
-            "optimizer_predict_seconds", {"type": self.name()}
-        ).observe(time.perf_counter() - started)
-        return best
-
     def best_configurations(
         self, pools: Sequence[Optional[Sequence[Configuration]]]
     ) -> list[Configuration]:
@@ -242,9 +212,8 @@ class BaseOptimizer(OptimizerInterface):
 
         The expensive part (scoring the training configurations) runs at
         most once per fitted optimizer; each pool then costs an index
-        lookup and an argmax.  Answers are bit-identical to per-pool
-        :meth:`best_configuration` calls because both select from the
-        same cached score vector.
+        lookup and an argmax.  Every pool selects from the same cached
+        score vector, so an answer does not depend on the other pools.
         """
         self._require_fitted()
         started = time.perf_counter()
@@ -255,6 +224,8 @@ class BaseOptimizer(OptimizerInterface):
             )
             if not pool:
                 raise OptimizerError(f"{self.name()}: no candidate configurations")
+            # np.argmax takes the first maximum: ties go to the earlier
+            # configuration in the pool
             out.append(pool[int(np.argmax(self._pool_scores(pool)))])
         telemetry.histogram(
             "optimizer_predict_seconds", {"type": self.name()}

@@ -128,20 +128,11 @@ class GeneticOptimizer(BaseOptimizer):
     def _predict_batch(self, configurations: Sequence[Configuration]) -> np.ndarray:
         return self._surrogate.predict_efficiency_batch(configurations)
 
-    def best_configuration(
-        self, candidates: Sequence[Configuration] | None = None
-    ) -> Configuration:
-        self._require_fitted()
-        if candidates is not None:
-            return super().best_configuration(candidates)
-        assert self._best is not None
-        return self._best
-
     def best_configurations(
         self, pools: Sequence[Sequence[Configuration] | None]
     ) -> list[Configuration]:
         # a None pool means "the GA's answer", not an argmax over the
-        # training set — mirror the best_configuration override per pool
+        # training set; explicit pools take the base class's argmax
         self._require_fitted()
         pools = list(pools)
         out: "list[Configuration | None]" = [None] * len(pools)

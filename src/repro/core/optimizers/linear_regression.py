@@ -41,34 +41,11 @@ def _feature_matrix(configs: Sequence[Configuration]) -> np.ndarray:
             ht,
             ht * c,
             ht * f,
-            c * f * f,
-            sqrt_c * f * f,
-        ]
-    )
-
-
-def _features(cfg: Configuration) -> np.ndarray:
-    c = float(cfg.cores)
-    f = cfg.frequency_ghz
-    ht = 1.0 if cfg.hyperthread else 0.0
-    return np.array(
-        [
-            1.0,
-            c,
-            c * c,
-            np.sqrt(c),
-            f,
-            f * f,
-            c * f,
-            np.sqrt(c) * f,
-            ht,
-            ht * c,
-            ht * f,
             # core-dependent frequency curvature: the optimal frequency
             # shifts with core count (memory-bound at many cores), and a
             # global f^2 term alone places the 32-core optimum wrongly
             c * f * f,
-            np.sqrt(c) * f * f,
+            sqrt_c * f * f,
         ]
     )
 
@@ -89,7 +66,7 @@ class LinearRegressionOptimizer(BaseOptimizer):
 
     # ------------------------------------------------------------------
     def _fit(self, benchmarks: Sequence[BenchmarkResult]) -> None:
-        X = np.stack([_features(b.configuration) for b in benchmarks])
+        X = _feature_matrix([b.configuration for b in benchmarks])
         y = np.array([b.gflops_per_watt for b in benchmarks])
         coef, _residuals, rank, _sv = np.linalg.lstsq(X, y, rcond=None)
         if not np.all(np.isfinite(coef)):
@@ -99,7 +76,7 @@ class LinearRegressionOptimizer(BaseOptimizer):
 
     def _predict(self, configuration: Configuration) -> float:
         assert self._coef is not None
-        return float(_features(configuration) @ self._coef)
+        return float(_feature_matrix([configuration])[0] @ self._coef)
 
     def _predict_batch(self, configurations: Sequence[Configuration]) -> np.ndarray:
         assert self._coef is not None

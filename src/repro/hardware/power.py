@@ -22,7 +22,7 @@ simulated node reproduces the paper's Table 2 operating points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from repro.hardware.cpu import CpuSpec, khz_to_ghz
 
@@ -54,9 +54,6 @@ class PowerModelParams:
     ht_core_adder_w: float = 0.0105975593
     #: effective-activity floor for fully memory-stalled cores
     stall_floor: float = 0.1
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

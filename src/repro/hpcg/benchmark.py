@@ -87,7 +87,3 @@ class HpcgBenchmark:
             converged=result.converged,
             final_relative_residual=rel,
         )
-
-    def verify_solution(self, result: CgResult, atol: float = 1e-6) -> bool:
-        """Check the solve actually recovered the all-ones exact solution."""
-        return bool(np.allclose(result.x, self.problem.x_exact, atol=atol))

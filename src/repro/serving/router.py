@@ -192,10 +192,6 @@ class ShardRouter:
         self._log(f"router: shard {name} left")
         self._update_health_gauge()
 
-    def shard_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._shards)
-
     def healthy_shards(self) -> list[str]:
         with self._lock:
             return sorted(s.name for s in self._shards.values() if s.healthy)

@@ -117,25 +117,19 @@ class ChronusServer:
         """Pre-load model ``model_id`` and pin it in the serving cache.
 
         Wraps :class:`LoadModelService` (artifact to local disk + settings
-        entry), then loads the optimizer into memory so the *first*
-        request after startup is already a cache hit, and pins it so
-        capacity pressure can never evict it.  Returns the cache key.
+        entry), then :meth:`SlurmConfigService.warm` loads the optimizer
+        and scores its candidate grid, so the *first* request after
+        startup is already a cache hit and an index lookup; the pin keeps
+        capacity pressure from evicting it.  Returns the cache key.
         """
         if self.load_model_service is None:
             raise ProtocolError("this server was built without a LoadModelService")
         metadata, _ = self.load_model_service.run(model_id)
-        entry, key, _ = self.config_service._resolve_model(metadata.system_id, "")
-        if metadata.application:
-            key = (str(metadata.system_id), metadata.application)
+        key = self.config_service.warm(metadata.system_id)
         self.model_cache.pin(key)
-        optimizer = self.config_service._load_optimizer(key, entry)
-        # warm ahead of time: score the candidate grid now so the first
-        # request after startup is an index lookup, not a numpy pass
-        warm = getattr(optimizer, "warm", None)
-        if callable(warm):
-            warm()
         self._log(
-            f"serve: model {model_id} pinned as {key} ({entry['type']}, warmed)"
+            f"serve: model {model_id} pinned as {key} "
+            f"({metadata.model_type}, warmed)"
         )
         return key
 

@@ -54,9 +54,6 @@ class ApplicationRegistry:
             f"(known: {sorted(self._exact)})"
         )
 
-    def known_binaries(self) -> list[str]:
-        return sorted(self._exact)
-
 
 @dataclass
 class StartedStep:
@@ -118,8 +115,3 @@ class Slurmd:
         )
         runtime = float(getattr(workload, "runtime_s"))
         return StartedStep(handle=handle, runtime_s=runtime, workload=workload)
-
-    def stop_job(self, job: Job) -> Workload:
-        if job.workload_handle is None:
-            raise NodeError(f"job {job.job_id} has no workload on {self.hostname}")
-        return self.node.stop_workload(job.workload_handle)

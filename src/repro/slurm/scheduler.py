@@ -41,11 +41,6 @@ class Placement:
     job: Job
     node_names: tuple[str, ...]
 
-    @property
-    def node_name(self) -> str:
-        """Primary node (convenience for single-node jobs)."""
-        return self.node_names[0]
-
 
 def _find_nodes(job: Job, free: dict[str, int], order: Sequence[str]) -> Optional[tuple[str, ...]]:
     """Pick ``job.descriptor.nodes`` distinct nodes with room, or None."""

@@ -22,6 +22,7 @@ from repro.hpcg.performance_model import HpcgPerformanceModel, PAPER_TOTAL_FLOPS
 from repro.simkernel.engine import Simulator
 from repro.simkernel.random import RandomStreams
 from repro.slurm.cluster import SimCluster
+from repro.slurm.statesave import StateSave
 
 
 @pytest.fixture
@@ -49,6 +50,23 @@ def cluster() -> SimCluster:
 def sweep_cluster() -> SimCluster:
     """Time-bounded cluster (10-minute HPCG jobs, for sweep tests)."""
     return SimCluster(seed=7, hpcg_duration_s=600.0)
+
+
+@pytest.fixture
+def open_statesave(tmp_path):
+    """Opens a :class:`StateSave` (in ``tmp_path`` unless given a
+    directory, without fsync unless asked); each one it opened is closed
+    when the test ends."""
+    opened: list[StateSave] = []
+
+    def open_(path=None, *, fsync: bool = False, **kwargs) -> StateSave:
+        ss = StateSave(str(tmp_path if path is None else path), fsync=fsync, **kwargs)
+        opened.append(ss)
+        return ss
+
+    yield open_
+    for ss in opened:
+        ss.close()
 
 
 def _steady_benchmark_rows(configs: list[Configuration]) -> list[BenchmarkResult]:

@@ -1,5 +1,7 @@
 """Tests for all four optimizers: fit, predict, best-config, artifacts."""
 
+import json
+
 import pytest
 
 from repro.core.domain.configuration import Configuration
@@ -282,15 +284,41 @@ class TestGenetic:
             GeneticOptimizer(population=8, elite=8)
 
 
-class TestBatchParity:
-    """The vectorized hot path must agree with the scalar path.
+def _oracle_pick(fitted, pool):
+    """The answer for one pool, worked out here rather than by the optimizer.
 
-    ``best_configurations`` answers must be *bit-identical* to the scalar
-    ``best_configuration`` — both select by argmax over one shared score
-    vector, so equality here holds by construction and this test is the
-    tripwire for anyone re-deriving scores per call.  Raw batch *values*
-    may differ from scalar ones in final-ulp rounding (BLAS matmul), so
-    they are compared with approx.
+    A pool of fit-time configurations indexes one score vector over all
+    of them and takes the first maximum; a pool holding a configuration
+    never seen at fit time is scored directly.  A ``None`` pool is the
+    whole fit-time set, except for the GA, which answers it with the pick
+    its artifact records.
+    """
+    import numpy as np
+
+    universe = fitted.training_configurations()
+    if pool is None:
+        if isinstance(fitted, GeneticOptimizer):
+            payload = json.loads(fitted.serialize())["payload"]
+            return Configuration.from_dict(payload["best"])
+        pool = universe
+    index = {cfg: i for i, cfg in enumerate(universe)}
+    if all(cfg in index for cfg in pool):
+        scores = fitted.predict_efficiency_batch(universe)[
+            [index[cfg] for cfg in pool]
+        ]
+    else:
+        scores = fitted.predict_efficiency_batch(pool)
+    return pool[int(np.argmax(scores))]
+
+
+class TestBatchParity:
+    """Every pool is answered by argmax over one shared score vector.
+
+    ``best_configurations`` is checked against :func:`_oracle_pick`, an
+    argmax written in this file, and a pool's answer must not depend on
+    the other pools of the call.  Raw batch *values* may differ from
+    scalar ones in final-ulp rounding (BLAS matmul), so they are
+    compared with approx.
     """
 
     def test_batch_values_match_scalar(self, fitted, paper_rows):
@@ -303,19 +331,6 @@ class TestBatchParity:
     def test_batch_of_empty(self, fitted):
         assert fitted.predict_efficiency_batch([]).shape == (0,)
 
-    def test_array_api(self, fitted):
-        import numpy as np
-
-        freqs = [2_200_000, 2_500_000, 1_500_000]
-        cores = [32, 16, 8]
-        out = fitted.predict_batch(freqs, cores)
-        configs = [Configuration(c, 1, f) for f, c in zip(freqs, cores)]
-        assert np.array_equal(out, fitted.predict_efficiency_batch(configs))
-
-    def test_array_api_length_mismatch(self, fitted):
-        with pytest.raises(ValueError, match="equal-length"):
-            fitted.predict_batch([2_200_000], [32, 16])
-
     def test_best_configurations_bit_identical(self, fitted):
         universe = fitted.training_configurations()
         pools = [
@@ -326,9 +341,10 @@ class TestBatchParity:
             [STANDARD, Configuration(16, 1, 1_500_000)],
             universe[:1],
         ]
-        batched = fitted.best_configurations(pools)
-        scalar = [fitted.best_configuration(pool) for pool in pools]
-        assert batched == scalar
+        expected = [_oracle_pick(fitted, pool) for pool in pools]
+        assert fitted.best_configurations(pools) == expected
+        # alone, each pool gets the answer it got among the others
+        assert [fitted.best_configuration(pool) for pool in pools] == expected
 
     def test_best_configurations_after_roundtrip(self, fitted):
         again = type(fitted).deserialize(fitted.serialize())
@@ -343,10 +359,16 @@ class TestBatchParity:
         assert clone.best_configuration() == before
 
     def test_novel_pool_not_in_cache(self, fitted):
-        """Pools containing configurations never seen at fit time must
-        still be answered (cache-miss fallback scores them directly)."""
-        novel = Configuration(2, 1, 1_500_000)
-        pool = [STANDARD, novel]
-        assert fitted.best_configurations([pool]) == [
-            fitted.best_configuration(pool)
-        ]
+        """A pool holding a configuration never seen at fit time is
+        scored directly; brute force, which cannot extrapolate, refuses
+        it."""
+        novel = Configuration(11, 1, 2_200_000)
+        assert novel not in fitted.training_configurations()
+        pool = [STANDARD, novel, BEST]
+        if isinstance(fitted, BruteForceOptimizer):
+            with pytest.raises(OptimizerError, match="cannot extrapolate"):
+                fitted.best_configurations([pool])
+            return
+        expected = _oracle_pick(fitted, pool)
+        assert fitted.best_configurations([pool]) == [expected]
+        assert fitted.best_configurations([None, pool])[1] == expected

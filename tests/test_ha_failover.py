@@ -8,6 +8,7 @@ the controller and the journal-fed slurmdbd.
 
 import gc
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -17,9 +18,14 @@ from repro.slurm.accounting import AccountingDatabase, JobRecord
 from repro.slurm.cluster import HPCG_BINARY, SimCluster
 from repro.slurm.controller import Slurmctld
 from repro.slurm.dbd import SlurmDbd
-from repro.slurm.ha import HaControlPlane, SlurmctldPeer, run_failover_drill
+from repro.slurm.ha import (
+    HaControlPlane,
+    SlurmctldPeer,
+    _failover_storm,
+    build_drill_plane,
+    run_failover_drill,
+)
 from repro.slurm.job import JobDescriptor
-from repro.slurm.statesave import StateSave
 
 
 def _metric(name: str) -> float:
@@ -77,12 +83,65 @@ class TestFailoverDrill:
         assert report.takeovers >= 1
         assert report.completed == 40
 
-    def test_durable_submit_with_lost_ack_survives_takeover(self, tmp_path):
+    @staticmethod
+    def _ack_lost_storm(tmp_path):
+        """The 20-job storm without a kill, where the controller crashes
+        right after drill-00005's submit record is durable: its ack is
+        lost, so the client retries a job the journal already holds."""
+        drill = build_drill_plane(str(tmp_path))
+        crashed = []
+
+        def crash_after_durable_submit(rec) -> None:
+            if (
+                not crashed and rec.type == "submit"
+                and rec.data["descriptor"]["name"] == "drill-00005"
+            ):
+                crashed.append(rec.seq)
+                raise ControllerCrashError("crashed after a durable submit")
+
+        drill.statesave.on_append = crash_after_durable_submit
+        try:
+            report = _failover_storm(
+                drill, jobs=20, kill_at_fraction=None, fault_profile=None,
+                submit_interval_s=0.5,
+            )
+        finally:
+            drill.close()
+        assert len(crashed) == 1
+        return report
+
+    def test_ack_lost_retry_adopts_the_durable_job(self, tmp_path):
+        found = []
+        by_name = Slurmctld.job_by_name
+
+        def recheck(ctld, name):
+            job_id = by_name(ctld, name)
+            if job_id is not None:
+                found.append(name)
+            return job_id
+
+        with mock.patch.object(Slurmctld, "job_by_name", recheck):
+            report = self._ack_lost_storm(tmp_path)
+        assert report.ok, report.render()
+        assert report.takeovers == 1
+        assert report.duplicated == 0
+        # the retry's by-name recheck found exactly the job whose ack was lost
+        assert found == ["drill-00005"]
+
+    def test_ack_lost_retry_without_the_recheck_duplicates(self, tmp_path):
+        # the drill's checks see a blind resubmit of the durable job
+        with mock.patch.object(Slurmctld, "job_by_name", return_value=None):
+            report = self._ack_lost_storm(tmp_path)
+        assert report.duplicated == 1
+        assert "1 duplicated job(s)" in report.failures
+        assert "accounting rows 21 != jobs 20" in report.failures
+
+    def test_durable_submit_with_lost_ack_survives_takeover(self, open_statesave):
         # ctld.crash fires AFTER the append is durable: the ack is lost
         # but the record is not — the new leader must restore the job, so
         # the client's by-name recheck dedups the retry instead of
         # resubmitting
-        ss = StateSave(str(tmp_path), fsync=False)
+        ss = open_statesave()
         cluster = SimCluster(statesave=ss, hpcg_duration_s=30)
         faults.configure("ctld.crash=1:1", seed=0)
         try:
@@ -105,13 +164,9 @@ class TestFailoverDrill:
 
 
 class TestZombieFencing:
-    def _pair(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_fenced_submit_raises_and_halts(self, open_statesave):
+        ss = open_statesave()
         cluster = SimCluster(statesave=ss, hpcg_duration_s=30)
-        return ss, cluster
-
-    def test_fenced_submit_raises_and_halts(self, tmp_path):
-        ss, cluster = self._pair(tmp_path)
         before = _metric("ha_fenced_writes_total")
         ss.bump_epoch()  # a peer took over behind our back
         with pytest.raises(StaleEpochError):
@@ -123,8 +178,8 @@ class TestZombieFencing:
         # the zombie's journal never saw the rejected submit
         assert all(r.type == "genesis" for r in ss.read_records())
 
-    def test_peer_demotes_when_lease_renewal_is_fenced(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_peer_demotes_when_lease_renewal_is_fenced(self, open_statesave):
+        ss = open_statesave()
         from repro.simkernel.engine import Simulator
         from repro.slurm.config import SlurmConfig
         from repro.slurm.ha import DRILL_BINARY, _drill_factory
@@ -150,8 +205,8 @@ class TestZombieFencing:
 
 
 class TestDbdIdempotency:
-    def _completed_cluster(self, tmp_path, n_jobs=3):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def _completed_cluster(self, open_statesave, n_jobs=3):
+        ss = open_statesave()
         cluster = SimCluster(statesave=ss, hpcg_duration_s=30)
         for i in range(n_jobs):
             cluster.ctld.submit(
@@ -164,8 +219,8 @@ class TestDbdIdempotency:
         assert len(cluster.accounting) == n_jobs
         return ss, cluster
 
-    def test_redelivered_finish_does_not_double_count_energy(self, tmp_path):
-        ss, cluster = self._completed_cluster(tmp_path)
+    def test_redelivered_finish_does_not_double_count_energy(self, open_statesave):
+        ss, cluster = self._completed_cluster(open_statesave)
         dbd = SlurmDbd(ss)
         applied = dbd.pump()
         assert applied > 0
@@ -181,8 +236,8 @@ class TestDbdIdempotency:
         assert len(dbd.db) == rows
         assert dbd.db.total_energy_j() == pytest.approx(energy)
 
-    def test_dbd_bootstraps_from_snapshot_after_compaction(self, tmp_path):
-        ss, cluster = self._completed_cluster(tmp_path)
+    def test_dbd_bootstraps_from_snapshot_after_compaction(self, open_statesave):
+        ss, cluster = self._completed_cluster(open_statesave)
         ss.write_snapshot(
             cluster.ctld.capture_state(), epoch=ss.epoch, time=cluster.sim.now
         )

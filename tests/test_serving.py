@@ -526,6 +526,12 @@ class TestServicePredict:
         )
         assert resp.model_type == "brute-force"
 
+    def test_run_refuses_a_floor_out_of_range(self, loaded_stack):
+        svc, _ = loaded_stack
+        for floor in (0.0, 1.5):
+            with pytest.raises(ValueError, match="min_perf"):
+                svc.run(1, 777, min_perf=floor)
+
     def test_batch_coalesces_duplicates(self, loaded_stack):
         svc, reads = loaded_stack
         requests = [
@@ -710,7 +716,10 @@ class TestChronusServer:
             local, ModelFactory.load_optimizer, read_local=files.__getitem__
         )
         server = ChronusServer(svc, load_model_service=load, cache_capacity=1)
+        warms = counter_value("model_warm_total")
         key = server.preload(meta.model_id)
+        # preload warms through SlurmConfigService.warm, which counts it
+        assert counter_value("model_warm_total") == warms + 1
         assert key == ("1", "hpcg")
         assert key in server.model_cache
         assert key in server.model_cache.pinned()

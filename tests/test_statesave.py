@@ -21,6 +21,7 @@ and its shadow job table equals the controller's.
 import json
 import os
 import shutil
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -64,52 +65,53 @@ class TestJournalRecord:
 
 
 class TestJournal:
-    def test_append_and_read(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_append_and_read(self, open_statesave):
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         ss.append("start", {"job_id": 1}, epoch=0, time=2.0)
         recs = ss.read_records()
         assert [(r.seq, r.type) for r in recs] == [(1, "submit"), (2, "start")]
 
-    def test_last_seq_survives_reopen(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_last_seq_survives_reopen(self, open_statesave):
+        ss = open_statesave()
         for i in range(5):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
         ss.close()
-        again = StateSave(str(tmp_path), fsync=False)
+        again = open_statesave()
         assert again.last_seq == 5
 
-    def test_torn_tail_dropped_and_repaired(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_torn_tail_dropped_and_repaired(self, tmp_path, open_statesave):
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         ss.append("submit", {"job_id": 2}, epoch=0, time=2.0)
         ss.close()
         journal = os.path.join(str(tmp_path), "journal.log")
         with open(journal, "a") as fh:
             fh.write('{"seq": 3, "epoch": 0, "ti')  # the crash's half-line
-        again = StateSave(str(tmp_path), fsync=False)
+        again = open_statesave()
         assert again.torn_tail_records == 1
         assert again.last_seq == 2
         # the repaired journal accepts new appends on a clean boundary
         again.append("submit", {"job_id": 3}, epoch=0, time=3.0)
         assert [r.seq for r in again.read_records()] == [1, 2, 3]
 
-    def test_mid_journal_damage_refuses_replay(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_mid_journal_damage_refuses_replay(self, tmp_path, open_statesave):
+        ss = open_statesave()
         for i in range(3):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
         ss.close()
         journal = os.path.join(str(tmp_path), "journal.log")
-        lines = open(journal).read().splitlines()
+        with open(journal) as fh:
+            lines = fh.read().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]  # damage the MIDDLE record
         with open(journal, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(JournalCorruptError):
-            StateSave(str(tmp_path), fsync=False)
+            open_statesave()
 
-    def test_recover_repairs_tail_on_open_instance(self, tmp_path):
+    def test_recover_repairs_tail_on_open_instance(self, open_statesave):
         # an HA pair shares one StateSave; takeover re-opens via recover()
-        ss = StateSave(str(tmp_path), fsync=False)
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         faults.configure("journal.torn_write=1:1", seed=0)
         try:
@@ -123,8 +125,8 @@ class TestJournal:
 
 
 class TestFaultSites:
-    def test_torn_write_is_not_durable(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_torn_write_is_not_durable(self, open_statesave):
+        ss = open_statesave()
         faults.configure("journal.torn_write=1:1", seed=0)
         try:
             with pytest.raises(ControllerCrashError):
@@ -132,10 +134,10 @@ class TestFaultSites:
         finally:
             faults.reset()
         ss.close()
-        assert StateSave(str(tmp_path), fsync=False).read_records() == []
+        assert open_statesave().read_records() == []
 
-    def test_crash_after_append_is_durable(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_crash_after_append_is_durable(self, open_statesave):
+        ss = open_statesave()
         faults.configure("ctld.crash=1:1", seed=0)
         try:
             with pytest.raises(ControllerCrashError):
@@ -143,28 +145,28 @@ class TestFaultSites:
         finally:
             faults.reset()
         ss.close()
-        recs = StateSave(str(tmp_path), fsync=False).read_records()
+        recs = open_statesave().read_records()
         assert [r.seq for r in recs] == [1]  # the record survived, ack didn't
 
 
 class TestEpochFencing:
-    def test_bump_epoch_fences_old_writers(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_bump_epoch_fences_old_writers(self, open_statesave):
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         assert ss.bump_epoch() == 1
         with pytest.raises(StaleEpochError):
             ss.append("submit", {"job_id": 2}, epoch=0, time=2.0)
         ss.append("submit", {"job_id": 2}, epoch=1, time=2.0)  # new leader ok
 
-    def test_epoch_durable_across_reopen(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_epoch_durable_across_reopen(self, open_statesave):
+        ss = open_statesave()
         ss.bump_epoch()
         ss.bump_epoch()
         ss.close()
-        assert StateSave(str(tmp_path), fsync=False).epoch == 2
+        assert open_statesave().epoch == 2
 
-    def test_lease_write_checked_against_epoch(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_lease_write_checked_against_epoch(self, open_statesave):
+        ss = open_statesave()
         ss.write_lease("ctld-a", 0, expires_at=10.0)
         ss.bump_epoch()
         with pytest.raises(StaleEpochError):
@@ -174,16 +176,16 @@ class TestEpochFencing:
         ss.write_lease("ctld-b", 1, expires_at=20.0)
         assert ss.read_lease().leader == "ctld-b"
 
-    def test_lease_expiry(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_lease_expiry(self, open_statesave):
+        ss = open_statesave()
         lease = ss.write_lease("ctld-a", 0, expires_at=10.0)
         assert not lease.expired(9.9)
         assert lease.expired(10.0)
 
 
 class TestSnapshots:
-    def test_write_and_load_digest_verified(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_write_and_load_digest_verified(self, open_statesave):
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         state = {"jobs": {"1": {"name": "a"}}}
         ss.write_snapshot(state, epoch=0, time=1.0)
@@ -192,8 +194,8 @@ class TestSnapshots:
         assert snap["seq"] == 1
         assert snap["digest"] == state_sha256(state)
 
-    def test_corrupt_snapshot_falls_back_to_older(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_corrupt_snapshot_falls_back_to_older(self, tmp_path, open_statesave):
+        ss = open_statesave()
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         name_old = ss.write_snapshot({"v": "old"}, epoch=0, time=1.0)
         ss.append("submit", {"job_id": 2}, epoch=0, time=2.0)
@@ -203,8 +205,8 @@ class TestSnapshots:
             fh.write("garbage")
         assert ss.load_latest_snapshot()["state"] == {"v": "old"}
 
-    def test_compact_drops_covered_records(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_compact_drops_covered_records(self, open_statesave):
+        ss = open_statesave()
         for i in range(4):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
         ss.write_snapshot({"upto": 4}, epoch=0, time=4.0)
@@ -213,22 +215,21 @@ class TestSnapshots:
         assert [r.seq for r in ss.read_records()] == [5]
         assert ss.last_seq == 5  # appends continue from the same sequence
 
-    def test_reopen_after_compacting_everything_continues_the_sequence(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_reopen_after_compacting_everything_continues_the_sequence(self, open_statesave):
+        ss = open_statesave()
         for i in range(3):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
         ss.write_snapshot({"upto": 3}, epoch=0, time=3.0)
         assert ss.compact() == 3
         ss.close()
-        again = StateSave(str(tmp_path), fsync=False)  # the journal is empty
+        again = open_statesave()  # the journal is empty
         assert again.last_seq == 3
         again.append("submit", {"job_id": 3}, epoch=0, time=4.0)
         # numbered past the snapshot, so a restore's replay does not skip it
         assert [r.seq for r in again.read_records(after_seq=3)] == [4]
-        again.close()
 
-    def test_should_snapshot_interval(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False, snapshot_interval=2)
+    def test_should_snapshot_interval(self, open_statesave):
+        ss = open_statesave(snapshot_interval=2)
         ss.append("submit", {"job_id": 1}, epoch=0, time=1.0)
         assert not ss.should_snapshot()
         ss.append("submit", {"job_id": 2}, epoch=0, time=2.0)
@@ -240,8 +241,8 @@ class TestSnapshots:
     def _snapshots(path) -> list:
         return sorted(n for n in os.listdir(path) if n.startswith("snapshot-"))
 
-    def test_writes_keep_the_newest_two_snapshots(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False, snapshot_interval=2)
+    def test_writes_keep_the_newest_two_snapshots(self, tmp_path, open_statesave):
+        ss = open_statesave(snapshot_interval=2)
         for i in range(1, 13):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
             if ss.should_snapshot():
@@ -253,8 +254,8 @@ class TestSnapshots:
         ]
         assert ss.load_latest_snapshot()["state"] == {"upto": 12}
 
-    def test_compact_deletes_the_older_snapshots(self, tmp_path):
-        ss = StateSave(str(tmp_path), fsync=False)
+    def test_compact_deletes_the_older_snapshots(self, tmp_path, open_statesave):
+        ss = open_statesave()
         for i in range(1, 5):
             ss.append("submit", {"job_id": i}, epoch=0, time=float(i))
             ss.write_snapshot({"upto": i}, epoch=0, time=float(i))
@@ -345,27 +346,27 @@ class TestReplayInvariant:
         tmpdir = str(tmp_path_factory.mktemp("statesave"))
         digests, cluster, ss = _run_journaled(tmpdir, jobs, horizon=120.0)
         ss.close()
-        records = StateSave(tmpdir, fsync=False).read_records()
+        with closing(StateSave(tmpdir, fsync=False)) as saved:
+            records = saved.read_records()
         assert records, "the run journaled nothing"
         # crash at EVERY journal offset: replaying the prefix must land on
         # exactly the digest captured when that record was appended
         for k in range(1, len(records) + 1):
             prefix_dir = os.path.join(tmpdir, f"prefix-{k}")
-            prefix = StateSave(prefix_dir, fsync=False)
-            for rec in records[:k]:
-                prefix.append(rec.type, rec.data, epoch=rec.epoch, time=rec.time)
-            fresh = SimCluster(n_nodes=2, hpcg_duration_s=120)
-            restored = Slurmctld.restore(
-                fresh.sim, fresh.ctld.config, fresh.ctld.nodes, prefix,
-                attach=False,
-            )
+            with closing(StateSave(prefix_dir, fsync=False)) as prefix:
+                for rec in records[:k]:
+                    prefix.append(rec.type, rec.data, epoch=rec.epoch, time=rec.time)
+                fresh = SimCluster(n_nodes=2, hpcg_duration_s=120)
+                restored = Slurmctld.restore(
+                    fresh.sim, fresh.ctld.config, fresh.ctld.nodes, prefix,
+                    attach=False,
+                )
             assert restored.state_digest() == digests[records[k - 1].seq], (
                 f"replay of {k}/{len(records)} records diverged "
                 f"(last record: {records[k - 1].type})"
             )
-            prefix.close()
 
-    def test_snapshot_plus_suffix_equals_full_replay(self, tmp_path):
+    def test_snapshot_plus_suffix_equals_full_replay(self, tmp_path, open_statesave):
         jobs = [
             (8, 10, False, False, True),
             (16, 10, False, True, True),
@@ -378,7 +379,7 @@ class TestReplayInvariant:
         assert ss.load_latest_snapshot() is not None, "no snapshot written"
         live_digest = cluster.ctld.state_digest()
         ss.close()
-        again = StateSave(str(tmp_path), fsync=False)
+        again = open_statesave()
         fresh = SimCluster(n_nodes=2, hpcg_duration_s=120)
         restored = Slurmctld.restore(
             fresh.sim, fresh.ctld.config, fresh.ctld.nodes, again, attach=False,
@@ -388,14 +389,14 @@ class TestReplayInvariant:
         fresh.sim.run(until=3600.0)
         assert all(j.state.is_terminal for j in restored.jobs.values())
 
-    def test_restored_controller_finishes_the_workload(self, tmp_path):
+    def test_restored_controller_finishes_the_workload(self, tmp_path, open_statesave):
         # prop-1 afterok-depends on prop-0: the crash happens while the
         # dependency is still held, so the restored controller must re-arm
         # the DAG and release prop-1 when prop-0 finishes post-restore
         jobs = [(8, 30, False, False, False), (16, 30, False, True, True)]
         digests, cluster, ss = _run_journaled(str(tmp_path), jobs, horizon=30.0)
         ss.close()
-        again = StateSave(str(tmp_path), fsync=False)
+        again = open_statesave()
         fresh = SimCluster(n_nodes=2, hpcg_duration_s=120)
         restored = Slurmctld.restore(
             fresh.sim, fresh.ctld.config, fresh.ctld.nodes, again, attach=False,

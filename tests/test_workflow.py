@@ -33,7 +33,6 @@ from repro.slurm.dbd import SlurmDbd
 from repro.slurm.ha import DRILL_BINARY, build_drill_plane
 from repro.slurm.job import JobDescriptor, JobState
 from repro.slurm.plugins.eco import JobSubmitEco, PluginState
-from repro.slurm.statesave import StateSave
 from repro.slurm.workflow import (
     DEPENDENCY_KINDS,
     DependencyGraph,
@@ -391,8 +390,8 @@ class TestReschedule:
 # slurmdbd agreement off the shared journal
 # ----------------------------------------------------------------------
 class TestDbdRollup:
-    def test_dbd_workflows_match_controller_rollup(self, tmp_path):
-        statesave = StateSave(str(tmp_path / "ss"))
+    def test_dbd_workflows_match_controller_rollup(self, tmp_path, open_statesave):
+        statesave = open_statesave(tmp_path / "ss", fsync=True)
         cluster = SimCluster(
             seed=7, hpcg_duration_s=60.0, statesave=statesave
         )
@@ -425,8 +424,9 @@ class TestDbdRollup:
 # failover: held dependencies survive a leader kill
 # ----------------------------------------------------------------------
 class TestFailover:
-    def test_backup_releases_dependencies_held_at_the_kill(self, tmp_path):
+    def test_backup_releases_dependencies_held_at_the_kill(self, tmp_path, request):
         drill = build_drill_plane(str(tmp_path / "ss"))
+        request.addfinalizer(drill.close)
         sim = drill.sim
         leader = drill.plane.leader()
         j1 = leader.submit(
