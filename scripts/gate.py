@@ -29,9 +29,9 @@ conditions read its counters.
   scalar predicts measured in the same run.
 * ``registry``: a model promoted and rolled back during a submit storm
   reaches a live daemon with no error, no shed and no restart.
-* ``storm``: the incremental scheduler places jobs like the reference one,
-  faster, at 1,000 nodes; the DES storm drains; 10,000 routed clients all
-  get answers.
+* ``storm``: a submit storm through ``Slurmctld`` at 1,000 nodes places
+  jobs like ``SchedulerParameters=reference``, in faster passes; every
+  job ends, and jobs/s holds at 4x the jobs.
 * ``ha``: a leader SIGKILL'd mid-storm loses and duplicates no job, and
   slurmdbd bills what the controller does.
 * ``workflow``: DAG storms across a leader kill leave no job stuck,
@@ -44,9 +44,11 @@ conditions read its counters.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -411,80 +413,132 @@ def registry_summary(record: dict) -> str:
 # ----------------------------------------------------------------------
 # storm
 # ----------------------------------------------------------------------
-#: incremental pass speedup over the reference pass in the same run
+STORM_NODES = 1000
+#: jobs in the storm run twice, once per scheduler, and in the small storm
+STORM_JOBS, STORM_SMALL_JOBS = 2000, 500
+#: submits per simulated second, entered as one burst: one deferred pass each
+STORM_RATE = 64
+STORM_SEED = 1
+#: perfbench's sched_backlog jobs: (nodes, tasks) shapes, time limits, the
+#: share of jobs scancel'd and how many submits later; HPCG runs 600 s
+STORM_SHAPES = ((2, 64),) * 3 + ((1, 32),) * 14 + ((1, 16), (1, 8), (1, 4))
+STORM_LIMITS_S = (900, 1800, 3600, 7200, 14400)
+STORM_CANCEL_SHARE, STORM_CANCEL_LAG = 0.03, 40
+STORM_RUN_S = 600.0
+#: mean reference pass over mean incremental pass, same storm
 MIN_SCHED_SPEEDUP = 1.5
 #: one incremental pass at 1,000 nodes
 MAX_PASS_P95_MS = 200.0
-#: events/sec at 4x the storm over the small storm's events/sec
+#: jobs/s of the storm over jobs/s of the small storm on the same nodes
 MIN_THROUGHPUT_RATIO = 0.6
-MIN_CLIENTS = 10_000
-#: one routed predict under the storm
-MAX_ROUTED_P95_S = 0.5
+
+
+def _dealt(rng, choices, n: int) -> list:
+    """``n`` values cycling through ``choices`` in equal shares, shuffled."""
+    values = [choices[i % len(choices)] for i in range(n)]
+    rng.shuffle(values)
+    return values
+
+
+def controller_storm(jobs: int, *, reference: bool = False) -> dict:
+    """Submit ``jobs`` jobs through ``Slurmctld`` on a 1,000-node
+    ``SimCluster`` and run every one to its end.
+
+    slurm.conf is ``SchedulerParameters=defer,default_queue_depth=256``,
+    plus ``reference`` for the O(queue x nodes) schedulers; there is no
+    plugin and no journal.  Pass times are the controller's own
+    ``sched_cycle_seconds``; the digest is perfbench's, over (job id,
+    node list, start time).
+    """
+    from repro import telemetry
+    from repro.slurm.cluster import HPCG_BINARY, SimCluster
+    from repro.slurm.config import SlurmConfig
+    from repro.slurm.job import JobDescriptor
+
+    rng = random.Random(STORM_SEED)
+    shapes = _dealt(rng, STORM_SHAPES, jobs)
+    limits = _dealt(rng, STORM_LIMITS_S, jobs)
+    #: submit index -> index of the earlier job scancel'd right after it
+    cancels = {i: i - STORM_CANCEL_LAG for i in rng.sample(range(STORM_CANCEL_LAG, jobs), round(STORM_CANCEL_SHARE * jobs))}
+    params = "defer,default_queue_depth=256" + (",reference" if reference else "")
+    cluster = SimCluster(
+        seed=STORM_SEED,
+        n_nodes=STORM_NODES,
+        config=SlurmConfig.parse(f"SchedulerParameters={params}"),
+        hpcg_duration_s=STORM_RUN_S,
+    )
+    ctld, sim = cluster.ctld, cluster.sim
+    telemetry.reset()
+    started = time.perf_counter()
+    job_ids = []
+    for i, ((nodes, tasks), limit) in enumerate(zip(shapes, limits)):
+        if i % STORM_RATE == 0:
+            sim.run(until=i // STORM_RATE)
+        descriptor = JobDescriptor(
+            name=f"storm-{i:05d}", num_tasks=tasks, nodes=nodes, binary=HPCG_BINARY, time_limit_s=limit
+        )
+        job_ids.append(ctld.submit(descriptor))
+        if i in cancels:
+            ctld.cancel(job_ids[cancels[i]])
+    sim.run()
+    wall_s = time.perf_counter() - started
+    passes = telemetry.find_metric(telemetry.snapshot(), "histograms", "sched_cycle_seconds")
+    rows = [[jid, list(job.node_list), job.start_time] for jid, job in sorted(ctld.jobs.items())]
+    return {
+        "jobs": jobs,
+        "terminal": sum(1 for job in ctld.jobs.values() if job.state.is_terminal),
+        "passes": passes["count"],
+        "pass_mean_ms": passes["mean"] * 1e3,
+        "pass_p95_ms": passes["p95"] * 1e3,
+        "jobs_per_s": jobs / wall_s,
+        "digest": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+    }
 
 
 def storm_drill() -> dict:
-    from benchmarks.bench_storm import run_des_scaling, run_scheduler_bench, run_serving_storm
-
     return {
-        "scheduler": run_scheduler_bench(1_000, 1_000, 5),
-        "des_storm": run_des_scaling(200, 8_000),
-        "serving_storm": run_serving_storm(10_000, 4),
+        "nodes": STORM_NODES,
+        "incremental": controller_storm(STORM_JOBS),
+        "reference": controller_storm(STORM_JOBS, reference=True),
+        "small": controller_storm(STORM_SMALL_JOBS),
     }
+
+
+def _storm_ratios(record: dict) -> "tuple[float, float]":
+    """(reference over incremental mean pass, storm over small-storm jobs/s)"""
+    inc, ref, small = record["incremental"], record["reference"], record["small"]
+    speedup = ref["pass_mean_ms"] / inc["pass_mean_ms"] if inc["pass_mean_ms"] else 0.0
+    return speedup, inc["jobs_per_s"] / small["jobs_per_s"] if small["jobs_per_s"] else 0.0
 
 
 def storm_failures(record: dict) -> list[str]:
     out = []
-    sched = record["scheduler"]
-    if sched["mismatches"]:
-        out.append(f"the incremental scheduler placed differently in {sched['mismatches']}/{sched['passes']} passes")
-    if sched["n_nodes"] < 1000:
-        out.append(f"the scheduler section ran at {sched['n_nodes']} nodes (< 1000)")
-    if sched["speedup"] < MIN_SCHED_SPEEDUP:
-        out.append(f"incremental scheduler speedup {sched['speedup']:.2f}x is below {MIN_SCHED_SPEEDUP:g}x")
-    if sched["incremental"]["p95_ms"] > MAX_PASS_P95_MS:
-        out.append(f"incremental pass p95 {sched['incremental']['p95_ms']:.1f} ms is over {MAX_PASS_P95_MS:g} ms")
-
-    des = record["des_storm"]
-    for size in ("small", "large"):
-        storm = des[size]
-        if storm["unfinished_jobs"]:
-            out.append(f"the {size} DES storm stranded {storm['unfinished_jobs']} jobs")
-        if storm["jobs_started"] != storm["n_jobs"]:
-            out.append(f"the {size} DES storm started {storm['jobs_started']}/{storm['n_jobs']} jobs")
-    if des["large"]["compactions"] < 1:
-        out.append("the large DES storm never compacted the event heap")
-    if des["throughput_ratio"] < MIN_THROUGHPUT_RATIO:
-        out.append(f"event throughput ratio {des['throughput_ratio']:.2f} at 4x size is below {MIN_THROUGHPUT_RATIO:g}")
-
-    serve = record["serving_storm"]
-    clients = serve["clients"]
-    if clients < MIN_CLIENTS:
-        out.append(f"the serving storm drove {clients} clients (< {MIN_CLIENTS})")
-    if serve["shed_responses_seen"]:
-        out.append(f"{serve['shed_responses_seen']} SHED answers at {clients} clients")
-    if serve["unanswered"]:
-        out.append(f"{serve['unanswered']}/{clients} routed requests unanswered")
-    if serve["error_responses_seen"]:
-        out.append(f"{serve['error_responses_seen']} error answers during the serving storm")
-    if serve["mismatches"]:
-        out.append(f"{serve['mismatches']}/{clients} routed answers differ from serial prediction")
-    fleet = serve["fleet"]
-    if fleet["healthy_count"] != serve["shards"]:
-        out.append(f"only {fleet['healthy_count']}/{serve['shards']} shards healthy after the storm")
-    idle = [name for name, n in fleet["per_shard_requests"].items() if n == 0]
-    if idle:
-        out.append(f"shards {idle} served no request: routing is not spreading the keyspace")
-    if serve["latency_s"]["p95"] > MAX_ROUTED_P95_S:
-        out.append(f"routed predict p95 {serve['latency_s']['p95'] * 1e3:.1f} ms is over {MAX_ROUTED_P95_S * 1e3:g} ms")
+    inc, ref = record["incremental"], record["reference"]
+    if record["nodes"] < 1000:
+        out.append(f"the storm ran at {record['nodes']} nodes (< 1000)")
+    if inc["digest"] != ref["digest"]:
+        out.append("the incremental scheduler placed jobs unlike the reference one")
+    speedup, ratio = _storm_ratios(record)
+    if speedup < MIN_SCHED_SPEEDUP:
+        out.append(f"incremental scheduler speedup {speedup:.2f}x is below {MIN_SCHED_SPEEDUP:g}x")
+    if inc["pass_p95_ms"] > MAX_PASS_P95_MS:
+        out.append(f"incremental pass p95 {inc['pass_p95_ms']:.1f} ms is over {MAX_PASS_P95_MS:g} ms")
+    for name in ("incremental", "reference", "small"):
+        run = record[name]
+        if run["terminal"] != run["jobs"]:
+            out.append(f"the {name} storm stranded {run['jobs'] - run['terminal']} of {run['jobs']} jobs")
+    if ratio < MIN_THROUGHPUT_RATIO:
+        out.append(f"jobs/s ratio {ratio:.2f} at 4x the jobs is below {MIN_THROUGHPUT_RATIO:g}")
     return out
 
 
 def storm_summary(record: dict) -> str:
-    sched, des, serve = record["scheduler"], record["des_storm"], record["serving_storm"]
+    inc, small = record["incremental"], record["small"]
+    speedup, ratio = _storm_ratios(record)
     return (
-        f"scheduler {sched['speedup']:.1f}x at {sched['n_nodes']} nodes, DES {des['large']['n_jobs']} jobs "
-        f"(ratio {des['throughput_ratio']:.2f}, {des['large']['compactions']} compactions), "
-        f"{serve['clients']} routed clients p95 {serve['latency_s']['p95'] * 1e3:.1f} ms"
+        f"{inc['jobs']} jobs through Slurmctld at {record['nodes']} nodes in {inc['passes']} passes, "
+        f"incremental p95 {inc['pass_p95_ms']:.1f} ms and {speedup:.1f}x the reference; "
+        f"{inc['jobs_per_s']:.0f} jobs/s, {ratio:.2f}x the {small['jobs']}-job storm's"
     )
 
 

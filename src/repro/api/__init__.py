@@ -14,9 +14,8 @@ resolve through:
 * :mod:`repro.api.types` — typed request/response dataclasses with
   strict ``from_dict`` validation (a garbage field fails at the edge,
   not deep inside the controller);
-* :mod:`repro.api.registry` — the op-dispatch registry behind both the
-  socket daemon's ``{"op": ...}`` control messages and the REST
-  gateway's chronus-native endpoints;
+* :mod:`repro.api.registry` — the op-dispatch registry behind the
+  socket daemon's ``{"op": ...}`` control messages;
 * :mod:`repro.api.auth` — HMAC-signed bearer tokens (slurmrestd's
   auth/jwt analogue) with ordered read < submit < admin scopes;
 * :mod:`repro.api.openapi` — the machine-readable spec generated from

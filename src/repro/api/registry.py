@@ -1,16 +1,12 @@
 """``OpRegistry`` — one dispatch table for ``{"op": ...}`` control messages.
 
-Both wire daemons (the prediction server and the shard router) used to
-carry their own inline if/else chain in ``_handle_op``; the REST gateway
-would have been a third.  The registry is the single mechanism: handlers
-register per op name, dispatch wraps their dict result in the standard
-``{"proto": "chronus/2", "ok": true, "op": ...}`` envelope, and every
+The prediction server's control ops live here instead of in an inline
+if/else chain: handlers register per op name, dispatch wraps their dict
+result in the standard ``{"proto": "chronus/2", "ok": true, "op": ...}``
+envelope, and every
 failure — unknown op, a :class:`ChronusError`, an unexpected exception —
 resolves through :func:`repro.api.errors.envelope_for` into the one
 :class:`~repro.serving.protocol.ErrorResponse` error shape.
-
-A handler may also return a raw ``str`` to answer verbatim (the router's
-``predict`` op relays an already-encoded response).
 """
 
 from __future__ import annotations
@@ -23,14 +19,14 @@ from repro.core.domain.errors import ChronusError
 
 __all__ = ["OpRegistry"]
 
-#: a handler takes (target, probe) and answers a payload dict or raw str
-OpHandler = Callable[[Any, Mapping[str, Any]], "dict | str"]
+#: a handler takes (target, probe) and answers a payload dict
+OpHandler = Callable[[Any, Mapping[str, Any]], dict]
 
 PROTO_V2 = "chronus/2"
 
 
 class OpRegistry:
-    """Named-op dispatch shared by the socket daemons and the gateway."""
+    """Named-op dispatch for a socket daemon's control messages."""
 
     def __init__(self, role: str) -> None:
         self.role = role
@@ -75,6 +71,4 @@ class OpRegistry:
             return ErrorResponse(
                 code="INTERNAL", message=f"{type(exc).__name__}: {exc}"
             ).to_json()
-        if isinstance(result, str):
-            return result
         return json.dumps({"proto": PROTO_V2, "ok": True, "op": op, **result})

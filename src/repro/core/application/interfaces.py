@@ -46,8 +46,8 @@ class PredictionProvider(Protocol):
 
     The only way into the eco plugin: everything that answers it
     implements this one method — the in-process
-    :class:`~repro.serving.transport.LocalTransport`, the Unix-socket
-    client and the shard router.  An unanswerable request is an explicit
+    :class:`~repro.serving.transport.LocalTransport` and the Unix-socket
+    client.  An unanswerable request is an explicit
     :class:`~repro.serving.protocol.ErrorResponse` — implementations
     raise only for transport-level failures.
     """

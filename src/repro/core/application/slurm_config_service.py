@@ -454,6 +454,10 @@ class SlurmConfigService:
         return out
 
     # ------------------------------------------------------------------
+    def model_key(self, system_id: "int | str") -> tuple[str, str]:
+        """The cache key the model of ``system_id`` is cached under."""
+        return self._resolve_model(system_id)[1]
+
     def warm(
         self, system_id: "int | str", binary_hash: "int | str" = ""
     ) -> tuple[str, str]:

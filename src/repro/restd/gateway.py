@@ -158,7 +158,7 @@ ROUTES: tuple[Route, ...] = (
           "one workflow's rollup (joules, attempts, model lineage)",
           response_model=WorkflowInfo),
     Route("POST", "/chronus/v1/predict", "predict", "read",
-          "energy-efficient configuration prediction (via the shard router)"),
+          "energy-efficient configuration prediction"),
     Route("GET", "/chronus/v1/models", "list_models", "read",
           "model registry records", response_model=ModelList),
     Route("POST", "/chronus/v1/models/{model_id}/promote", "promote_model",
@@ -226,8 +226,8 @@ class RestGateway:
         self.authority = authority
         self._leader = leader
         self.dbd = dbd
-        #: anything with ``.predict(PredictRequest)`` — a ShardRouter in
-        #: production, a ChronusServer in a single-worker deployment
+        #: anything with ``.predict(PredictRequest)``: a ChronusServer or
+        #: a transport to one
         self.predict_provider = predict_provider
         #: a ModelRegistryService (or None to 503 the model routes)
         self.registry = registry

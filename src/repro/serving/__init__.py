@@ -43,7 +43,6 @@ __all__ = [
     "MicroBatcher",
     "ChronusServer",
     "LocalTransport",
-    "ShardRouter",
     "UnixSocketServer",
     "UnixSocketTransport",
 ]
@@ -51,7 +50,6 @@ __all__ = [
 _LAZY = {
     "ChronusServer": ("repro.serving.server", "ChronusServer"),
     "LocalTransport": ("repro.serving.transport", "LocalTransport"),
-    "ShardRouter": ("repro.serving.router", "ShardRouter"),
     "UnixSocketServer": ("repro.serving.transport", "UnixSocketServer"),
     "UnixSocketTransport": ("repro.serving.transport", "UnixSocketTransport"),
 }

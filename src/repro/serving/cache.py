@@ -20,7 +20,7 @@ Two departures from a plain ``functools.lru_cache``:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional, TypeVar
+from typing import Hashable, Optional, TypeVar
 
 from repro import telemetry
 
@@ -65,17 +65,6 @@ class ModelCache:
         self._data.move_to_end(key)
         self._evict()
         telemetry.gauge(f"{self.metric_prefix}_size").set(len(self._data))
-
-    def get_or_load(self, key: Hashable, loader: Callable[[], V]) -> V:
-        """The serving fast path: one lookup, load-and-insert on miss."""
-        if key in self._data:
-            self._data.move_to_end(key)
-            telemetry.counter(f"{self.metric_prefix}_hits_total").inc()
-            return self._data[key]  # type: ignore[return-value]
-        telemetry.counter(f"{self.metric_prefix}_misses_total").inc()
-        value = loader()
-        self.put(key, value)
-        return value
 
     def _evict(self) -> None:
         if self.capacity is None:

@@ -13,9 +13,9 @@ One generation only: a request must name ``chronus/2`` in its ``proto``
 field.  A request without one, or naming another generation, is refused
 with an explicit ``INVALID`` answer — failing loudly beats guessing what
 the client meant.  :func:`handle_wire` is the one place a wire line
-becomes a :class:`PredictRequest`; the prediction server and the shard
-router both answer through it, each with its own control ops (an
-:class:`~repro.api.registry.OpRegistry`).
+becomes a :class:`PredictRequest`; the prediction server answers
+through it, with its control ops in an
+:class:`~repro.api.registry.OpRegistry`.
 
 Forward compatibility: ``from_dict`` tolerates unknown fields (a newer
 client may send more than we know about) but is strict about the types of
@@ -345,8 +345,8 @@ def decode_response(text: "str | bytes") -> "PredictResponse | ErrorResponse":
 def handle_wire(target: Any, ops: "OpRegistry", line: "str | bytes") -> str:
     """Answer one wire message for ``target``; always returns a JSON line.
 
-    ``target`` is a prediction server or a shard router: anything with a
-    ``predict(PredictRequest)`` method.  Control operations
+    ``target`` is anything with a ``predict(PredictRequest)`` method,
+    usually the prediction server.  Control operations
     (``{"op": ...}``) dispatch through ``ops``; everything else is
     decoded as a ``chronus/2`` request and answered by ``target``.  A
     message that does not decode gets an explicit ``INVALID``

@@ -125,8 +125,11 @@ class ChronusServer:
         if self.load_model_service is None:
             raise ProtocolError("this server was built without a LoadModelService")
         metadata, _ = self.load_model_service.run(model_id)
-        key = self.config_service.warm(metadata.system_id)
+        # pin before the load: when every other entry is pinned, a full
+        # cache drops the unpinned newcomer it was just given
+        key = self.config_service.model_key(metadata.system_id)
         self.model_cache.pin(key)
+        self.config_service.warm(metadata.system_id)
         self._log(
             f"serve: model {model_id} pinned as {key} "
             f"({metadata.model_type}, warmed)"
@@ -170,8 +173,8 @@ def _handle_batch(
 
 
 # ----------------------------------------------------------------------
-# control ops — one registry, shared dispatch/envelope machinery with the
-# router and the REST gateway (repro.api.registry)
+# control ops — one registry, its dispatch and error envelope from
+# repro.api.registry
 # ----------------------------------------------------------------------
 SERVER_OPS = OpRegistry("prediction server")
 

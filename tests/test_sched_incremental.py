@@ -8,7 +8,7 @@ mid-storm — while leaving its incremental state exactly as it found it.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.slurm.cluster import HPCG_BINARY, SimCluster
 from repro.slurm.config import SlurmConfig
@@ -165,6 +165,12 @@ class TestPassParity:
 
     @settings(max_examples=120, deadline=None)
     @given(nodes_spec=node_strategy, jobs_spec=job_strategy)
+    # the head's spare cores at its shadow time are spent by job 2, so
+    # job 3 must not backfill onto the same node past the shadow
+    @example(
+        nodes_spec=[(32, [(8, 1000), (8, 1000)])],
+        jobs_spec=[(24, 600, 1), (4, 7200, 1), (8, 7200, 1)],
+    )
     def test_backfill_identical(self, nodes_spec, jobs_spec):
         state = build_state(nodes_spec)
         jobs_ref = make_queue(jobs_spec, len(nodes_spec))

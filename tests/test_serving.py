@@ -9,6 +9,7 @@ silent drop), and the one wire handler must refuse, with an explicit
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -321,18 +322,6 @@ class TestModelCache:
         cache.unpin("a")
         assert len(cache) == 1
         assert "a" not in cache
-
-    def test_get_or_load_loads_once(self):
-        cache = ModelCache(4)
-        loads = []
-
-        def loader():
-            loads.append(1)
-            return "model"
-
-        assert cache.get_or_load("k", loader) == "model"
-        assert cache.get_or_load("k", loader) == "model"
-        assert len(loads) == 1
 
     def test_unbounded_never_evicts(self):
         cache = ModelCache(None)
@@ -697,27 +686,9 @@ class TestChronusServer:
         assert bad["error"] == "INVALID"
 
     def test_preload_pins_model(self, steady_rows):
-        repo = MemoryRepository()
-        repo.save_system(SystemInfo("TestCPU", 32, 2, (1_500_000.0, 2_500_000.0)))
-        for row in steady_rows:
-            repo.save_benchmark(row)
-        blobs = DictBlobStore()
-        meta = InitModelService(
-            repo, blobs, ModelFactory.get_optimizer
-        ).run("brute-force", 1)
-        local = MemoryLocalStorage()
-        files: dict = {}
-        load = LoadModelService(
-            repo, blobs, local,
-            write_local=lambda p, d: files.update({p: d}),
-            replace=lambda src, dst: files.update({dst: files.pop(src)}),
-        )
-        svc = SlurmConfigService(
-            local, ModelFactory.load_optimizer, read_local=files.__getitem__
-        )
-        server = ChronusServer(svc, load_model_service=load, cache_capacity=1)
+        server, [model_id] = _preload_server(steady_rows, ["TestCPU"])
         warms = counter_value("model_warm_total")
-        key = server.preload(meta.model_id)
+        key = server.preload(model_id)
         # preload warms through SlurmConfigService.warm, which counts it
         assert counter_value("model_warm_total") == warms + 1
         assert key == ("1", "hpcg")
@@ -733,11 +704,53 @@ class TestChronusServer:
         assert isinstance(resp, PredictResponse)
         assert counter_value("model_cache_hits_total") == hits_before + 1
 
+    def test_preloads_past_capacity_all_stay_resident(self, steady_rows):
+        """The pin lands before the warm load: a model preloaded into a
+        cache whose other entries are all pinned is not evicted by its
+        own load."""
+        server, model_ids = _preload_server(steady_rows, ["TestCPU", "OtherCPU"])
+        warms = counter_value("model_warm_total")
+        keys = [server.preload(model_id) for model_id in model_ids]
+        assert keys == [("1", "hpcg"), ("2", "hpcg")]
+        assert counter_value("model_warm_total") == warms + 2
+        assert server.model_cache.pinned() == set(keys)
+        assert server.model_cache.keys() == keys
+
     def test_preload_without_loader_refused(self, loaded_stack):
         svc, _ = loaded_stack
         server = ChronusServer(svc)
         with pytest.raises(ProtocolError, match="LoadModelService"):
             server.preload(1)
+
+
+def _preload_server(rows, cpus):
+    """A one-slot ChronusServer with a LoadModelService, and one fitted
+    model per system in ``cpus`` (system ids 1, 2, ...)."""
+    repo = MemoryRepository()
+    blobs = DictBlobStore()
+    model_ids = []
+    for cpu in cpus:
+        system_id = repo.save_system(
+            SystemInfo(cpu, 32, 2, (1_500_000.0, 2_500_000.0))
+        )
+        for row in rows:
+            repo.save_benchmark(dataclasses.replace(row, system_id=system_id))
+        meta = InitModelService(
+            repo, blobs, ModelFactory.get_optimizer
+        ).run("brute-force", system_id)
+        model_ids.append(meta.model_id)
+    local = MemoryLocalStorage()
+    files: dict = {}
+    load = LoadModelService(
+        repo, blobs, local,
+        write_local=lambda p, d: files.update({p: d}),
+        replace=lambda src, dst: files.update({dst: files.pop(src)}),
+    )
+    svc = SlurmConfigService(
+        local, ModelFactory.load_optimizer, read_local=files.__getitem__
+    )
+    server = ChronusServer(svc, load_model_service=load, cache_capacity=1)
+    return server, model_ids
 
 
 def _fresh_stack(rows):
