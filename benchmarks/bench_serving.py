@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Serving-layer benchmark: a submit storm against the ChronusServer.
+"""Serving-layer drills: a submit storm against the ChronusServer.
 
-Drives N concurrent predict calls through the micro-batching server and
-compares every answer against a serial oracle (the same model evaluated
-one request at a time on a second, cache-cold service).  Records, as JSON:
+:func:`run_storm` drives N concurrent predict calls through the
+micro-batching server and compares every answer against a serial oracle
+(the same model evaluated one request at a time on a second, cache-cold
+service).  It records:
 
 * **parity** — how many storm answers differ from the oracle (must be 0:
   batching is a latency optimisation, never an accuracy trade);
@@ -15,32 +16,20 @@ one request at a time on a second, cache-cold service).  Records, as JSON:
   the SHED responses clients actually saw, so a silently dropped request
   is arithmetically visible.
 
-``python scripts/gate.py serving`` holds these to their invariants at
-200 and 1,000 jobs; this script only runs and records.
+:func:`run_throughput` measures the batched prediction hot path:
+requests/sec and p95 of the scalar ``predict`` loop vs ``predict_batch`` at
+several batch sizes, with every batched answer compared field-for-field
+against its scalar twin (must be bit-identical: batching is a throughput
+optimisation, never a semantic one).
 
-``--throughput`` additionally measures the batched prediction hot path
-and emits the ``BENCH_PR6.json`` trajectory:
-
-* **throughput** — requests/sec and p95 of the scalar ``predict`` loop
-  vs ``predict_batch`` at several batch sizes, with every batched answer
-  compared field-for-field against its scalar twin (must be
-  bit-identical: batching is a throughput optimisation, never a
-  semantic one);
-* **warm** — first-request latency on a cold service vs one warmed by
-  the ``chronus load-model`` ahead-of-time step.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py --smoke --output serving-smoke.json
-    PYTHONPATH=src python benchmarks/bench_serving.py --smoke --throughput --output BENCH_PR6.json
+``python scripts/gate.py serving`` runs both and holds them to their
+invariants at 200 and 1,000 jobs; ``perfbench`` builds its prediction
+service from :func:`analytic_rows` and :func:`make_service`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
 import threading
 import time
 
@@ -296,125 +285,3 @@ def run_throughput(jobs: int, batch_sizes=(4, 16, 64)) -> dict:
             }
         )
     return {"jobs": jobs, "scalar": scalar, "batched": batched}
-
-
-def run_warm_comparison() -> dict:
-    """First-request latency: cold service vs load-model's warm step."""
-    rows = analytic_rows([4, 8, 16, 24, 28, 32], [1_500_000, 2_200_000, 2_500_000])
-    request = PredictRequest(system_id=1, binary_hash=777)
-
-    cold_service = make_service(rows)
-    t0 = time.perf_counter()
-    cold_service.predict(request)
-    cold_ms = (time.perf_counter() - t0) * 1e3
-
-    warm_service = make_service(rows)
-    warm_service.warm(1, 777)
-    t0 = time.perf_counter()
-    warm_service.predict(request)
-    warm_ms = (time.perf_counter() - t0) * 1e3
-    return {
-        "cold_first_request_ms": cold_ms,
-        "warmed_first_request_ms": warm_ms,
-        "speedup": cold_ms / warm_ms if warm_ms > 0 else float("inf"),
-    }
-
-
-def render_throughput(doc: dict) -> str:
-    tp = doc["throughput"]
-    lines = [
-        f"predict throughput: {tp['jobs']} requests | scalar "
-        f"{tp['scalar']['rps']:.0f} rps (p95 {tp['scalar']['p95_ms']:.3f}ms)"
-    ]
-    for row in tp["batched"]:
-        lines.append(
-            f"  batch={row['batch_size']:<3d} {row['rps']:8.0f} rps  "
-            f"batch-p95 {row['batch_p95_ms']:.3f}ms  "
-            f"mismatches={row['mismatches']}"
-        )
-    warm = doc["warm"]
-    lines.append(
-        f"  first request: cold {warm['cold_first_request_ms']:.2f}ms, "
-        f"warmed {warm['warmed_first_request_ms']:.2f}ms "
-        f"({warm['speedup']:.1f}x)"
-    )
-    return "\n".join(lines)
-
-
-def render(report: dict) -> str:
-    lat = report["latency_s"]
-    batches = report["batches"]
-    return (
-        f"serving storm: {report['jobs']} jobs in {report['wall_s']:.3f}s | "
-        f"mismatches={report['mismatches']} unanswered={report['unanswered']} "
-        f"shed={report['shed_responses_seen']}\n"
-        f"  latency p50={lat['p50'] * 1e3:.2f}ms p95={lat['p95'] * 1e3:.2f}ms "
-        f"max={lat['max'] * 1e3:.2f}ms\n"
-        f"  batches: {batches['count']} dispatched, mean size "
-        f"{batches['mean']:.1f}, max {batches['max']:.0f}; coalesced "
-        f"{report['metrics']['serve_coalesced_total']:.0f} duplicates"
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized storm (200 jobs) instead of the full 1000",
-    )
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument(
-        "--queue-limit", type=int, default=None,
-        help="admission bound [default: jobs + 8, so the parity storm "
-        "is never shed; pass a smaller value to exercise shedding]",
-    )
-    parser.add_argument(
-        "--throughput", action="store_true",
-        help="measure the batched prediction hot path too and emit the "
-        "BENCH_PR6 trajectory (storm + throughput + warm)",
-    )
-    parser.add_argument("--output", default=None)
-    args = parser.parse_args(argv)
-
-    jobs = args.jobs if args.jobs is not None else (200 if args.smoke else 1000)
-    queue_limit = args.queue_limit if args.queue_limit is not None else jobs + 8
-    output = args.output or (
-        "BENCH_PR6.json" if args.throughput else "serving-smoke.json"
-    )
-    report = run_storm(
-        jobs,
-        max_batch=args.max_batch,
-        queue_limit=queue_limit,
-    )
-    print(render(report))
-    if args.throughput:
-        import os
-        import platform
-
-        doc = {
-            "schema": "chronus-bench-pr6/1",
-            "smoke": bool(args.smoke),
-            "host": {
-                "cpu_count": os.cpu_count(),
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            },
-            "storm": report,
-            "throughput": run_throughput(jobs),
-            "warm": run_warm_comparison(),
-        }
-        print(render_throughput(doc))
-        with open(output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {output}")
-        return 0
-    with open(output, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

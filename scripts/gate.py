@@ -16,8 +16,7 @@ failed and 2 for an unknown gate name.
 
 Each gate runs in an interpreter of its own: the telemetry counters, the
 fault injector and the forked sweep pool are per process, and no gate may
-see another's traffic or threads.  Telemetry is forced on, because several
-conditions read its counters.
+see another's traffic or threads.
 
 * ``telemetry``: the Figure 1 and plugin-latency benchmarks leave every
   paper-critical metric behind, and the eco predict p95 stays inside
@@ -1217,8 +1216,6 @@ GATES = {
 
 def run(name: str) -> int:
     """Run one gate in this interpreter; 0 when every condition holds."""
-    # before any repro import: the telemetry default is read at import time
-    os.environ["CHRONUS_TELEMETRY"] = "1"
     for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
         if entry not in sys.path:
             sys.path.insert(0, entry)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro import telemetry
 from repro.core.application.interfaces import LocalStorageInterface
 from repro.core.domain.settings import ChronusSettings, VALID_PLUGIN_STATES
 
@@ -55,19 +54,4 @@ class SettingsService:
         settings = self.local_storage.load().with_state(state)
         self.local_storage.save(settings)
         self._log(f"plugin state set to {state}")
-        return settings
-
-    def set_telemetry(self, value: str) -> ChronusSettings:
-        """``chronus set telemetry on|off`` — applied process-wide at once."""
-        normalized = value.strip().lower()
-        if normalized in ("on", "true", "1", "enabled"):
-            enabled = True
-        elif normalized in ("off", "false", "0", "disabled"):
-            enabled = False
-        else:
-            raise ValueError(f"telemetry must be 'on' or 'off', got {value!r}")
-        settings = self.local_storage.load().with_telemetry(enabled)
-        self.local_storage.save(settings)
-        telemetry.configure(enabled)
-        self._log(f"telemetry {'enabled' if enabled else 'disabled'}")
         return settings

@@ -7,7 +7,7 @@ The paper's section 3.3 surface plus one reporting addition::
     chronus load-model --model [MODEL_ID]
     chronus models {list,promote,rollback,shadow}  (ours: registry lifecycle)
     chronus slurm-config [SYSTEM_IDENTIFIER] [BINARY_HASH]
-    chronus set {database,blob-storage,state,telemetry} VALUE
+    chronus set {database,blob-storage,state} VALUE
     chronus report --system [SYSTEM_ID]      (ours: projected savings)
     chronus metrics [--format json|prometheus|summary]  (ours: telemetry)
     chronus faults {list,run ..}             (ours: chaos drills)
@@ -16,10 +16,10 @@ The paper's section 3.3 surface plus one reporting addition::
     chronus restd [--port PORT]              (ours: REST gateway, slurmrestd analogue)
     chronus shutdown [--socket PATH]         (ours: stop the daemon)
 
-Every command leaves a telemetry snapshot at ``<workspace>/telemetry.json``
-(unless telemetry is disabled); ``chronus metrics`` either re-reads that
-file (``--from-file``) or runs a compact end-to-end demo — benchmark sweep,
-model training, eco-plugin submissions — and dumps the live registry.
+Every command leaves a telemetry snapshot at ``<workspace>/telemetry.json``;
+``chronus metrics`` either re-reads that file (``--from-file``) or runs a
+compact end-to-end demo — benchmark sweep, model training, eco-plugin
+submissions — and dumps the live registry.
 
 Each invocation builds a fresh simulated cluster (each real invocation is
 a fresh process on the head node); everything durable lives in the
@@ -162,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "state", help="activates, sets it to user or deactivates the plugin"
     )
     s_state.add_argument("value", choices=["activated", "user", "deactivated"])
-    s_tele = set_sub.add_parser(
-        "telemetry", help="enable or disable the metrics/tracing layer"
-    )
-    s_tele.add_argument("value", choices=["on", "off"])
 
     p_faults = sub.add_parser(
         "faults", help="fault injection: list sites/profiles, run chaos drills"
@@ -349,8 +345,6 @@ def _snapshot_path(args: argparse.Namespace) -> str:
 
 def _persist_snapshot(args: argparse.Namespace) -> None:
     """Leave the invocation's metrics behind for ``chronus metrics``."""
-    if not telemetry.enabled():
-        return
     snap = telemetry.snapshot()
     if not any(snap.values()):
         return
@@ -463,8 +457,6 @@ def _cmd_set(args: argparse.Namespace) -> int:
         app.settings_service.set_blob_storage(args.value)
     elif args.setting == "state":
         app.settings_service.set_state(args.value)
-    elif args.setting == "telemetry":
-        app.settings_service.set_telemetry(args.value)
     print(f"{args.setting} = {args.value}")
     return 0
 
@@ -634,19 +626,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 "run a chronus command first or drop --from-file"
             ) from exc
     else:
-        if not telemetry.enabled():
-            raise ChronusError(
-                "telemetry is disabled (CHRONUS_TELEMETRY/settings); "
-                "enable it or use --from-file"
-            )
         os.makedirs(args.workspace, exist_ok=True)
         _run_metrics_demo(args)
-        if not telemetry.enabled():
-            # the workspace settings pinned telemetry off mid-demo
-            raise ChronusError(
-                "telemetry is disabled in this workspace's settings; "
-                "run `chronus set telemetry on` first"
-            )
         snap = telemetry.snapshot()
     if args.output:
         with open(args.output, "w") as fh:

@@ -76,10 +76,6 @@ class ChronusSettings:
     #: binary-hash (decimal string) -> application name, the mapping that
     #: fixes the paper's hard-coded-binary limitation (6.1.2)
     binary_aliases: dict[str, str] = field(default_factory=dict)
-    #: telemetry switch: True/False configure the process-wide registry;
-    #: None (the default) leaves whatever is already active untouched, so
-    #: a fresh settings file never overrides CHRONUS_TELEMETRY
-    telemetry_enabled: "bool | None" = None
 
     def __post_init__(self) -> None:
         if self.plugin_state not in VALID_PLUGIN_STATES:
@@ -97,9 +93,6 @@ class ChronusSettings:
 
     def with_state(self, state: str) -> "ChronusSettings":
         return replace(self, plugin_state=state)
-
-    def with_telemetry(self, enabled: "bool | None") -> "ChronusSettings":
-        return replace(self, telemetry_enabled=enabled)
 
     def with_loaded_model(
         self, system_id: int, local_path: str, model_type: str,
@@ -180,8 +173,6 @@ class ChronusSettings:
         }
         if self.shadow_models:
             data["shadow_models"] = self.shadow_models
-        if self.telemetry_enabled is not None:
-            data["telemetry_enabled"] = self.telemetry_enabled
         return json.dumps(data, indent=2)
 
     @classmethod
@@ -203,8 +194,4 @@ class ChronusSettings:
                 str(k): str(v)
                 for k, v in dict(data.get("binary_aliases", {})).items()
             },
-            telemetry_enabled=(
-                None if data.get("telemetry_enabled") is None
-                else bool(data["telemetry_enabled"])
-            ),
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from repro import telemetry
 from repro.core.application.benchmark_service import BenchmarkService
 from repro.core.application.init_model_service import InitModelService
 from repro.core.application.interfaces import OptimizerInterface, RepositoryInterface
@@ -89,13 +88,6 @@ class ChronusApp:
 
         self.local_storage = EtcStorage(os.path.join(workspace, "etc", "chronus"))
         settings = self.local_storage.load()
-        # settings may pin telemetry on/off for this deployment; None keeps
-        # the process default (CHRONUS_TELEMETRY or enabled)
-        if (
-            settings.telemetry_enabled is not None
-            and settings.telemetry_enabled != telemetry.enabled()
-        ):
-            telemetry.configure(settings.telemetry_enabled)
         self.repository = _repository_for(
             self._resolve_workspace_path(settings.database_path)
         )

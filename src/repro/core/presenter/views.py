@@ -113,7 +113,7 @@ class TelemetryView:
                 )
             sections.append(table.render())
         if len(sections) == 1:
-            sections.append("(no metrics recorded — is telemetry disabled?)")
+            sections.append("(no metrics recorded)")
         return "\n\n".join(sections)
 
     def __str__(self) -> str:

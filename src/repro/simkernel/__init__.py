@@ -9,7 +9,6 @@ random-number streams so experiments are reproducible bit-for-bit.
 """
 
 from repro.simkernel.engine import Event, EventQueue, SimClock, Simulator
-from repro.simkernel.process import PeriodicTask, Process
 from repro.simkernel.random import RandomStreams
 
 __all__ = [
@@ -17,7 +16,5 @@ __all__ = [
     "EventQueue",
     "SimClock",
     "Simulator",
-    "Process",
-    "PeriodicTask",
     "RandomStreams",
 ]

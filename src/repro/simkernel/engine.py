@@ -180,43 +180,6 @@ class EventQueue:
             self._live_daemon += 1
         return ev
 
-    def push_many(
-        self, items: "list[tuple[float, Callable[[], None], str]]"
-    ) -> list[Event]:
-        """Push a batch of ``(time, callback, name)`` entries.
-
-        Semantically identical to N :meth:`push` calls (same ``seq``
-        assignment, so ties still fire in submission order), but when the
-        batch is large relative to the heap the events are appended and
-        the whole heap re-heapified once — O(n + k) instead of
-        O(k log n) sift-ups.  A million-job submit storm schedules in one
-        call instead of a million.
-        """
-        events = []
-        for entry in items:
-            time, callback = entry[0], entry[1]
-            name = entry[2] if len(entry) > 2 else ""
-            if not math.isfinite(time):
-                raise SimulationError(f"event time must be finite, got {time!r}")
-            events.append(
-                Event(
-                    time=time, seq=next(self._counter), callback=callback,
-                    name=name, queue=self._ref,
-                )
-            )
-        if not events:
-            return events
-        # heapify costs O(heap + batch); k pushes cost O(k log heap).  Use
-        # the rebuild once the batch is a meaningful fraction of the heap.
-        if len(events) * 4 >= len(self._heap):
-            self._heap.extend(events)
-            heapq.heapify(self._heap)
-        else:
-            for ev in events:
-                heapq.heappush(self._heap, ev)
-        self._live += len(events)
-        return events
-
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or None if empty."""
         while self._heap:
@@ -361,24 +324,6 @@ class Simulator:
         ``run()`` spinning forever once the real event queue drains.
         """
         return RepeatingEvent(self, interval, callback, name, daemon=daemon)
-
-    def call_at_many(
-        self, items: "list[tuple[float, Callable[[], None], str]]"
-    ) -> list[Event]:
-        """Batch :meth:`call_at`: schedule ``(time, callback[, name])`` entries.
-
-        One validation pass plus one amortised heap rebuild (see
-        :meth:`EventQueue.push_many`) instead of per-event sift-ups — this
-        is how storm drivers inject hundreds of thousands of submissions
-        without the heap overhead dominating the run.
-        """
-        now = self.now
-        for entry in items:
-            if entry[0] < now:
-                raise SimulationError(
-                    f"cannot schedule event at {entry[0]} before now={now}"
-                )
-        return self.events.push_many(items)
 
     def stop(self) -> None:
         """Request the currently-running loop to stop after this event."""

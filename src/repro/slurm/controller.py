@@ -92,7 +92,6 @@ class Slurmctld:
         self._pending: list[int] = []
         self._running: list[int] = []
         self._next_job_id = 1
-        self.log: list[str] = []
         self._completion_events: dict[int, object] = {}
         #: journaled completion schedule: job_id -> (completion_time,
         #: timed_out).  Unlike the live Event objects this survives capture
@@ -528,7 +527,6 @@ class Slurmctld:
                 "submit_time": self.sim.now,
             },
         )
-        self.log.append(f"[{self.sim.now:.1f}] submitted job {job_id} ({descriptor.name})")
         self._request_schedule()
         return job_id
 
@@ -554,11 +552,6 @@ class Slurmctld:
                 "deps": [[kind, pred] for kind, pred in deps],
                 "attempt": self._attempt_entry(1, "submit"),
             },
-        )
-        self.log.append(
-            f"[{self.sim.now:.1f}] submitted job {job_id} ({descriptor.name}"
-            f"{', workflow ' + descriptor.workflow if descriptor.workflow else ''}"
-            f"{', held on ' + str(len(deps)) + ' dependencies' if deps else ''})"
         )
         if deps:
             # predecessors may already be terminal: resolve now, but skip
@@ -630,10 +623,6 @@ class Slurmctld:
                 "descriptor": descriptor_to_dict(descriptor),
                 "submit_time": self.sim.now,
             },
-        )
-        self.log.append(
-            f"[{self.sim.now:.1f}] submitted array job {master_id} "
-            f"({descriptor.name}, {len(descriptor.array)} tasks)"
         )
         self._request_schedule()
         return master_id
@@ -840,7 +829,6 @@ class Slurmctld:
                 },
             )
             telemetry.counter("sched_jobs_failed_total").inc()
-            self.log.append(f"[{self.sim.now:.1f}] job {job.job_id} failed: {exc}")
             # exit 127 is permanent (no binary to retry), so the retry
             # policy never applies — dependents settle immediately
             self._resolve_dependents_of(job.job_id)
@@ -871,12 +859,6 @@ class Slurmctld:
         telemetry.log_event(
             "job.started", job_id=job.job_id, nodes=",".join(node_names),
             tasks=job.descriptor.num_tasks, sim_time=self.sim.now,
-        )
-        self.log.append(
-            f"[{self.sim.now:.1f}] started job {job.job_id} on "
-            f"{','.join(node_names)} (tasks={job.descriptor.num_tasks}, "
-            f"tpc={job.descriptor.threads_per_core}, "
-            f"freq={job.descriptor.cpu_freq_min or 'default'})"
         )
 
     def _complete_job(self, job_id: int, timed_out: bool) -> None:
@@ -916,9 +898,6 @@ class Slurmctld:
         telemetry.counter(
             "sched_jobs_timeout_total" if timed_out else "sched_jobs_completed_total"
         ).inc()
-        self.log.append(
-            f"[{self.sim.now:.1f}] job {job_id} {'timed out' if timed_out else 'completed'}"
-        )
         # retry-on-failure runs before dependent resolution: a job about
         # to be requeued is not a settled outcome, so its afterok
         # dependents keep waiting and its afternotok dependents do not
@@ -981,7 +960,6 @@ class Slurmctld:
             },
         )
         telemetry.counter("sched_dep_releases_total").inc()
-        self.log.append(f"[{self.sim.now:.1f}] job {job_id} dependencies satisfied")
         if faults.fire("dep.release_crash"):
             self.halt()
             raise ControllerCrashError(
@@ -1008,10 +986,6 @@ class Slurmctld:
             },
         )
         telemetry.counter("sched_dep_never_satisfied_total").inc()
-        self.log.append(
-            f"[{self.sim.now:.1f}] job {job_id} cancelled: "
-            "dependency never satisfied"
-        )
         self._resolve_dependents_of(job_id)
 
     def _repredict(self, job: Job) -> JobDescriptor:
@@ -1081,10 +1055,6 @@ class Slurmctld:
             },
         )
         telemetry.counter("sched_reschedules_total").inc()
-        self.log.append(
-            f"[{self.sim.now:.1f}] job {job_id} rescheduled "
-            f"(attempt {attempt['n']})"
-        )
         if faults.fire("reschedule.storm"):
             self.halt()
             raise ControllerCrashError(
@@ -1104,7 +1074,6 @@ class Slurmctld:
         if hostname in self._drained:
             return
         self._commit("drain", {"hostname": hostname})
-        self.log.append(f"[{self.sim.now:.1f}] node {hostname} drained")
 
     def resume_node(self, hostname: str) -> None:
         """Return a drained node to service and re-run the scheduler."""
@@ -1113,7 +1082,6 @@ class Slurmctld:
         if hostname not in self._drained:
             return
         self._commit("resume", {"hostname": hostname})
-        self.log.append(f"[{self.sim.now:.1f}] node {hostname} resumed")
         self._request_schedule()
 
     def cancel(self, job_id: int) -> None:
@@ -1144,7 +1112,6 @@ class Slurmctld:
         ev = self._completion_events.pop(job_id, None)
         if ev is not None:
             ev.cancel()  # type: ignore[attr-defined]
-        self.log.append(f"[{self.sim.now:.1f}] job {job_id} cancelled")
         # anything waiting on the cancelled job settles now: afterany /
         # afternotok dependents release, afterok dependents cascade-cancel
         self._resolve_dependents_of(job_id)

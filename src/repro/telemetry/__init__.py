@@ -1,24 +1,14 @@
 """``repro.telemetry`` — metrics, tracing and structured logs for the repro.
 
-The process holds one *active* registry/tracer/logger triple; instrumented
-modules call the module-level helpers (:func:`counter`, :func:`histogram`,
-:func:`span`, ...) which dispatch through it.  ``configure(enabled=False)``
-swaps in the no-op implementations, making every instrumentation point a
-single cheap method call with zero side effects — the
-"zero-overhead-when-disabled" contract the scheduler loop relies on.
-
-Enablement precedence (first match wins):
-
-1. explicit :func:`configure` calls (``ChronusApp`` applies the
-   ``telemetry_enabled`` field of ``/etc/chronus/settings.json``),
-2. the ``CHRONUS_TELEMETRY`` environment variable (``0``/``off``/``false``
-   disable, anything else enables) read at import,
-3. enabled by default.
+The process holds one *active* registry/tracer/logger triple, built at
+import; instrumented modules call the module-level helpers
+(:func:`counter`, :func:`histogram`, :func:`span`, ...) which dispatch
+through it.  There is one implementation of each primitive and no switch
+that turns it off.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 from repro.telemetry.export import (
@@ -27,86 +17,42 @@ from repro.telemetry.export import (
     snapshot_to_json,
     snapshot_to_prometheus,
 )
-from repro.telemetry.logs import JsonLinesLogger, NullLogger
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
-)
-from repro.telemetry.tracing import NullSpan, NullTracer, Span, Tracer, current_span
+from repro.telemetry.logs import JsonLinesLogger
+from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.tracing import Span, Tracer, current_span
 
 __all__ = [
     # primitives
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-    "NullCounter", "NullGauge", "NullHistogram",
-    "Span", "Tracer", "NullSpan", "NullTracer", "current_span",
-    "JsonLinesLogger", "NullLogger",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Span", "Tracer", "current_span",
+    "JsonLinesLogger",
     # export helpers
     "snapshot_to_json", "snapshot_from_json", "snapshot_to_prometheus",
     "find_metric",
     # global state
-    "configure", "enabled", "get_registry", "get_tracer", "get_logger",
-    "set_registry", "counter", "gauge", "histogram", "span", "log_event",
+    "get_registry", "get_tracer", "set_registry",
+    "counter", "gauge", "histogram", "span", "log_event",
     "snapshot", "reset",
 ]
 
-
-def _env_enabled() -> bool:
-    value = os.environ.get("CHRONUS_TELEMETRY", "").strip().lower()
-    return value not in ("0", "off", "false", "no", "disabled")
-
-
-_registry: "MetricsRegistry | NullRegistry"
-_tracer: "Tracer | NullTracer"
-_logger: "JsonLinesLogger | NullLogger"
+_registry = MetricsRegistry()
+_tracer = Tracer(_registry)
+_logger = JsonLinesLogger()
 
 
-def configure(
-    enabled: bool = True,
-    *,
-    log_path: Optional[str] = None,
-) -> None:
-    """Install the active telemetry implementations for this process."""
-    global _registry, _tracer, _logger
-    if enabled:
-        _registry = MetricsRegistry()
-        _tracer = Tracer(_registry)
-        _logger = JsonLinesLogger(path=log_path)
-    else:
-        _registry = NullRegistry()
-        _tracer = NullTracer()
-        _logger = NullLogger()
-
-
-configure(_env_enabled())
-
-
-def enabled() -> bool:
-    return _registry.enabled
-
-
-def get_registry() -> "MetricsRegistry | NullRegistry":
+def get_registry() -> MetricsRegistry:
     return _registry
 
 
-def set_registry(registry: "MetricsRegistry | NullRegistry") -> None:
+def set_registry(registry: MetricsRegistry) -> None:
     """Swap the active registry (tests); the tracer follows it."""
     global _registry, _tracer
     _registry = registry
-    _tracer = Tracer(registry) if registry.enabled else NullTracer()
+    _tracer = Tracer(registry)
 
 
-def get_tracer() -> "Tracer | NullTracer":
+def get_tracer() -> Tracer:
     return _tracer
-
-
-def get_logger() -> "JsonLinesLogger | NullLogger":
-    return _logger
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import threading
 import time
 from typing import Any, Callable, Optional, TextIO
 
-__all__ = ["JsonLinesLogger", "NullLogger", "LEVELS"]
+__all__ = ["JsonLinesLogger", "LEVELS"]
 
 LEVELS = ("debug", "info", "warning", "error")
 
@@ -82,28 +82,3 @@ class JsonLinesLogger:
     def reset(self) -> None:
         with self._lock:
             self._buffer.clear()
-
-
-class NullLogger:
-    """Disabled logging: accepts everything, records nothing."""
-
-    def log(self, event: str, *, level: str = "info", **fields: Any) -> dict:
-        return {}
-
-    def debug(self, event: str, **fields: Any) -> dict:
-        return {}
-
-    def info(self, event: str, **fields: Any) -> dict:
-        return {}
-
-    def warning(self, event: str, **fields: Any) -> dict:
-        return {}
-
-    def error(self, event: str, **fields: Any) -> dict:
-        return {}
-
-    def records(self, event: Optional[str] = None) -> list:
-        return []
-
-    def reset(self) -> None:
-        pass

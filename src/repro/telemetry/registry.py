@@ -7,10 +7,6 @@ them on the hot path.  The registry hands out one object per
 ``(name, labels)`` pair, so repeated lookups are cheap dictionary hits and
 handles can be cached by the caller for the hottest loops.
 
-The :class:`NullRegistry` implements the same surface with shared inert
-singletons: with telemetry disabled every ``inc``/``observe``/``set`` is a
-single no-op method call and nothing is ever recorded.
-
 Histograms keep a bounded reservoir of observations (deterministic
 per-metric PRNG, so snapshots are reproducible for a given observation
 sequence) from which p50/p95/p99 are computed at snapshot time — the hot
@@ -23,16 +19,7 @@ import random
 import threading
 from typing import Mapping, Optional
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: histogram reservoir bound — large enough for stable tail quantiles,
 #: small enough that a runaway loop cannot exhaust memory
@@ -203,8 +190,6 @@ class Histogram:
 class MetricsRegistry:
     """Process-local metric store keyed by ``(name, sorted labels)``."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple, Counter] = {}
@@ -259,85 +244,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-
-class NullCounter:
-    """Inert counter; every instance is interchangeable."""
-
-    __slots__ = ()
-    name = ""
-    labels: dict = {}
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"name": "", "labels": {}, "value": 0.0}
-
-
-class NullGauge:
-    __slots__ = ()
-    name = ""
-    labels: dict = {}
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"name": "", "labels": {}, "value": 0.0}
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = ""
-    labels: dict = {}
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict:
-        return {"name": "", "labels": {}, "count": 0, "sum": 0.0, "mean": 0.0,
-                "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
-
-
-class NullRegistry:
-    """The disabled-telemetry registry: same surface, zero side effects."""
-
-    enabled = False
-
-    def counter(self, name: str, labels: LabelArg = None) -> NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, labels: LabelArg = None) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, labels: LabelArg = None) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def snapshot(self) -> dict:
-        return {"counters": [], "gauges": [], "histograms": []}
-
-    def reset(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0

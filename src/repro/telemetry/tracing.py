@@ -21,7 +21,7 @@ import time
 from collections import deque
 from typing import Any, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NullSpan", "current_span"]
+__all__ = ["Span", "Tracer", "current_span"]
 
 #: bounded finished-span history per tracer
 SPAN_HISTORY = 2048
@@ -113,47 +113,3 @@ class Tracer:
 
     def reset(self) -> None:
         self.finished.clear()
-
-
-class NullSpan:
-    """Inert span: enters, exits, records nothing."""
-
-    __slots__ = ()
-    name = ""
-    span_id = 0
-    parent_id = None
-    parent_name = None
-    duration_s = 0.0
-    attributes: dict = {}
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        pass
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"name": "", "span_id": 0, "parent_id": None,
-                "parent_name": None, "duration_s": 0.0, "attributes": {}}
-
-
-_NULL_SPAN = NullSpan()
-
-
-class NullTracer:
-    """Disabled tracing: one shared inert span, empty history."""
-
-    registry = None
-    finished: "deque" = deque(maxlen=0)
-
-    def span(self, name: str, **attributes: Any) -> NullSpan:
-        return _NULL_SPAN
-
-    def spans_named(self, name: str) -> list:
-        return []
-
-    def reset(self) -> None:
-        pass

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.core.cli.main import build_parser, main
 from repro.serving.protocol import PredictRequest, PredictResponse
 from repro.serving.transport import UnixSocketTransport
@@ -69,6 +70,8 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["set", "state", "on"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["set", "telemetry", "off"])
 
 
 class TestBenchmarkCommand:
@@ -190,3 +193,37 @@ class TestSetCommand:
         )
         assert settings["database_path"] == "other.db"
         assert settings["blob_storage_path"] == "blobs2"
+
+
+class TestMetricsCommand:
+    @pytest.fixture
+    def fresh_registry(self):
+        previous = telemetry.get_registry()
+        telemetry.set_registry(telemetry.MetricsRegistry())
+        yield
+        telemetry.set_registry(previous)
+
+    def test_from_file_prints_the_persisted_snapshot(
+        self, capsys, workspace, tmp_path, fresh_registry
+    ):
+        configs = tmp_path / "one.json"
+        configs.write_text(
+            json.dumps([{"cores": 32, "threads_per_core": 1, "frequency": 2_200_000}])
+        )
+        rc, _ = run_cli(
+            capsys, workspace, "benchmark",
+            "--configurations", str(configs), "--duration", "60",
+        )
+        assert rc == 0
+        with open(os.path.join(workspace, "telemetry.json")) as fh:
+            persisted = telemetry.snapshot_from_json(fh.read())
+        samples = telemetry.find_metric(persisted, "counters", "power_samples_total")
+        assert samples["value"] > 0
+        # an empty registry: whatever is printed next comes from the file
+        telemetry.set_registry(telemetry.MetricsRegistry())
+        rc, out = run_cli(
+            capsys, workspace, "metrics", "--from-file", "--format", "prometheus"
+        )
+        assert rc == 0
+        assert "# TYPE power_samples_total counter" in out
+        assert f"power_samples_total {samples['value']}" in out.splitlines()

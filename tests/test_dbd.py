@@ -30,7 +30,7 @@ MODEL_PATH = "/etc/chronus/optimizer/model-1.json"
 
 @pytest.fixture(autouse=True)
 def metrics_registry():
-    # a real registry even under CHRONUS_TELEMETRY=0: the counter is asserted
+    # a fresh registry per test: the counters asserted here start at zero
     telemetry.set_registry(telemetry.MetricsRegistry())
     yield
     telemetry.set_registry(telemetry.MetricsRegistry())

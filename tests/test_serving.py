@@ -69,8 +69,8 @@ from repro.slurm.plugins.eco import (
 
 @pytest.fixture(autouse=True)
 def clean_process_state():
-    # a real registry even under CHRONUS_TELEMETRY=0: these tests assert
-    # the serving counters (same pattern as test_resilience)
+    # a fresh registry per test: these tests assert the serving counters
+    # from zero (same pattern as test_resilience)
     telemetry.set_registry(telemetry.MetricsRegistry())
     faults.reset()
     yield

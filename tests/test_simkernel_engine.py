@@ -239,66 +239,6 @@ class TestLiveCountAndCompaction:
         assert q.compactions == 0
 
 
-class TestBatchScheduling:
-    def test_push_many_matches_loop_semantics(self):
-        order_a, order_b = [], []
-        sim_a = Simulator()
-        for i in range(50):
-            t = float(i % 7)
-            sim_a.call_at(t, lambda i=i: order_a.append(i))
-        sim_b = Simulator()
-        sim_b.call_at_many(
-            [(float(i % 7), lambda i=i: order_b.append(i)) for i in range(50)]
-        )
-        sim_a.run()
-        sim_b.run()
-        # identical order: batch submission keeps per-entry seq assignment,
-        # so ties fire in submission order either way
-        assert order_a == order_b
-
-    def test_call_at_many_rejects_past(self):
-        sim = Simulator()
-        sim.call_at(5.0, sim.stop)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.call_at_many([(1.0, lambda: None)])
-
-    def test_push_many_rejects_non_finite(self):
-        q = EventQueue()
-        with pytest.raises(SimulationError):
-            q.push_many([(float("nan"), lambda: None)])
-
-    def test_push_many_with_names_and_empty(self):
-        q = EventQueue()
-        assert q.push_many([]) == []
-        events = q.push_many([(1.0, lambda: None, "batch-ev")])
-        assert events[0].name == "batch-ev"
-        assert len(q) == 1
-
-    def test_large_batch_onto_small_heap(self):
-        q = EventQueue()
-        q.push(100.0, lambda: None)
-        q.push_many([(float(i), lambda: None) for i in range(1000)])
-        assert len(q) == 1001
-        times = []
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
-            times.append(ev.time)
-        assert times == sorted(times)
-
-    def test_small_batch_onto_large_heap(self):
-        q = EventQueue()
-        for i in range(1000):
-            q.push(float(i), lambda: None)
-        q.push_many([(0.5, lambda: None), (999.5, lambda: None)])
-        assert len(q) == 1002
-        first = q.pop()
-        second = q.pop()
-        assert (first.time, second.time) == (0.0, 0.5)
-
-
 class TestDaemonEvents:
     """call_every tickers are daemons: they never keep a run alive."""
 

@@ -3,8 +3,7 @@
 Covers the dependency-free metric primitives (exact histogram statistics,
 quantile interpolation, reservoir bounds), thread-safety under a hammering
 ThreadPoolExecutor, span nesting and context propagation, the structured
-logger, export formats, and — critically for the scheduler hot path — that
-the disabled (no-op) implementations have zero observable side effects.
+logger, export formats, and the process-wide registry/tracer swap.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from repro.telemetry import (
     Histogram,
     JsonLinesLogger,
     MetricsRegistry,
-    NullLogger,
-    NullRegistry,
-    NullTracer,
     Tracer,
     current_span,
     find_metric,
@@ -42,7 +38,7 @@ def registry() -> MetricsRegistry:
 
 @pytest.fixture
 def isolated_telemetry():
-    """Install a fresh enabled registry globally; restore afterwards."""
+    """Install a fresh registry globally; restore afterwards."""
     previous = telemetry.get_registry()
     fresh = MetricsRegistry()
     telemetry.set_registry(fresh)
@@ -325,54 +321,10 @@ class TestExport:
         assert find_metric(snap, "counters", "missing") is None
 
 
-class TestNullImplementations:
-    def test_registry_hands_out_shared_inert_singletons(self):
-        null = NullRegistry()
-        c1 = null.counter("a")
-        c2 = null.counter("b", {"x": "1"})
-        assert c1 is c2
-        c1.inc(100)
-        assert c1.value == 0.0
-        null.histogram("h").observe(5.0)
-        null.gauge("g").set(9)
-        assert null.snapshot() == {"counters": [], "gauges": [], "histograms": []}
-        assert len(null) == 0
-
-    def test_null_tracer_span_is_inert_context_manager(self):
-        tracer = NullTracer()
-        with tracer.span("op", key="value") as sp:
-            sp.set_attribute("more", 1)
-        assert sp.duration_s == 0.0
-        assert sp.attributes == {}
-        assert tracer.spans_named("op") == []
-        assert len(tracer.finished) == 0
-
-    def test_null_logger_records_nothing(self):
-        log = NullLogger()
-        assert log.error("boom", detail="x") == {}
-        assert log.records() == []
-
-
 class TestGlobalState:
-    def test_configure_disabled_installs_null_implementations(self):
-        was_enabled = telemetry.enabled()
-        try:
-            telemetry.configure(False)
-            assert not telemetry.enabled()
-            telemetry.counter("never").inc()
-            telemetry.histogram("never").observe(1.0)
-            with telemetry.span("never"):
-                pass
-            assert telemetry.log_event("never") == {}
-            assert telemetry.snapshot() == {"counters": [], "gauges": [], "histograms": []}
-        finally:
-            telemetry.configure(was_enabled)
-
     def test_set_registry_swaps_tracer_too(self):
         previous = telemetry.get_registry()
         try:
-            telemetry.set_registry(NullRegistry())
-            assert isinstance(telemetry.get_tracer(), NullTracer)
             fresh = MetricsRegistry()
             telemetry.set_registry(fresh)
             with telemetry.span("op"):
@@ -381,19 +333,25 @@ class TestGlobalState:
         finally:
             telemetry.set_registry(previous)
 
-    @pytest.mark.parametrize("value", ["0", "off", "FALSE", "no", "disabled"])
-    def test_env_var_disables(self, monkeypatch, value):
-        from repro.telemetry import _env_enabled
+    def test_old_settings_switch_is_ignored(self, tmp_path, isolated_telemetry):
+        """A settings.json that still carries ``telemetry_enabled: false``
+        loads, and the app keeps recording into the process registry."""
+        from repro.core.domain.configuration import Configuration
+        from repro.core.factory import ChronusApp
+        from repro.slurm.cluster import SimCluster
 
-        monkeypatch.setenv("CHRONUS_TELEMETRY", value)
-        assert not _env_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "on", "true", "", "anything"])
-    def test_env_var_enables(self, monkeypatch, value):
-        from repro.telemetry import _env_enabled
-
-        monkeypatch.setenv("CHRONUS_TELEMETRY", value)
-        assert _env_enabled()
+        etc = tmp_path / "ws" / "etc" / "chronus"
+        etc.mkdir(parents=True)
+        (etc / "settings.json").write_text(
+            json.dumps({"plugin_state": "deactivated", "telemetry_enabled": False})
+        )
+        app = ChronusApp(SimCluster(seed=11, hpcg_duration_s=60.0), str(tmp_path / "ws"))
+        assert app.settings_service.current().plugin_state == "deactivated"
+        assert telemetry.get_registry() is isolated_telemetry
+        app.benchmark_service.run_benchmarks(
+            [Configuration(32, 1, 2_200_000)], clock=app.clock
+        )
+        assert isolated_telemetry.counter("power_samples_total").value > 0
 
 
 class TestClusterIntegration:
